@@ -509,9 +509,7 @@ func (p *TwoLevel) AssumeReaders(addr mem.BlockAddr, vec mem.ReaderVec) {
 		bs.open = bs.open.Union(vec)
 		return
 	}
-	for w := vec; !w.Empty(); {
-		n := w.Lowest()
-		w = w.Without(n)
+	for n := vec.Next(0); n < mem.MaxNodes; n = vec.Next(n + 1) {
 		p.learn(addr, bs, Symbol{Type: MsgRead, Node: n})
 	}
 }

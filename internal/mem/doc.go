@@ -16,7 +16,7 @@
 //     branch-free bit arithmetic on a single uint64 and mutation never
 //     allocates. Beyond that a hierarchical extension covers up to
 //     MaxNodes = 4096 nodes: a summary word whose bit g mirrors group g's
-//     occupancy over up to 63 leaf words, so Count/Lowest/iteration skip
+//     occupancy over up to 63 leaf words, so Count/Next/iteration skip
 //     empty groups instead of scanning them.
 //   - The extension obeys three structural invariants that make values
 //     canonical: ext is nil if and only if no member ≥ InlineNodes exists
@@ -27,9 +27,10 @@
 //     fixed-size extension block.
 //   - The extension is copy-on-write: mutators clone it before writing,
 //     so ReaderVec values can be freely copied, shared, and stored in
-//     history tables like the plain word they replaced. Wide-set mutation
-//     pays one bounded allocation; the narrow tier's zero-allocation
-//     guarantee is unchanged and enforced by allocation-counting tests.
+//     history tables like the plain word they replaced. Wide-set mutation,
+//     Without included, pays one bounded allocation; iteration uses Next,
+//     which reads in place and never allocates. The narrow tier's
+//     zero-allocation guarantee is enforced by allocation-counting tests.
 //   - BlockMap is the canonical block-keyed lookup structure for per-block
 //     state kept inline in dense slices (the directory's entries, the
 //     cache's lines): an insert-only open-addressed table mapping

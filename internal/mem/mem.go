@@ -109,7 +109,7 @@ func (k ReqKind) String() string {
 //  2. ext is copy-on-write: vectors share extensions freely and every
 //     mutating operation clones before writing, so ReaderVec keeps value
 //     semantics. A *vecExt reachable from more than one vector is never
-//     written through.
+//     written through. Read-only operations, Next included, never clone.
 //  3. sum bit g ⟺ leaf[g-1] != 0, and ext != nil ⟹ sum != 0.
 //
 // ReaderVec is deliberately non-comparable (== would compare extension
@@ -176,7 +176,8 @@ func (v ReaderVec) With(n NodeID) ReaderVec {
 }
 
 // Without returns the vector with node n removed. Out-of-range nodes
-// (including NoNode) are a safe no-op.
+// (including NoNode) are a safe no-op. Removing a member ≥ InlineNodes
+// clones the extension; iterate with Next, not by draining a copy.
 func (v ReaderVec) Without(n NodeID) ReaderVec {
 	if n < InlineNodes {
 		v.lo &^= 1 << n
@@ -244,25 +245,30 @@ func (v ReaderVec) Count() int {
 	return c
 }
 
-// Lowest returns the smallest member node. It is the zero-allocation
-// iteration primitive for hot paths (ForEach costs a closure):
+// Next returns the smallest member ≥ n, or MaxNodes if there is none. It
+// is the allocation-free iteration idiom at any width:
 //
-//	for w := v; !w.Empty(); {
-//		n := w.Lowest()
-//		w = w.Without(n)
-//		...
-//	}
-//
-// Lowest of the empty vector returns MaxNodes (out of range).
-func (v ReaderVec) Lowest() NodeID {
-	if v.lo != 0 {
-		return NodeID(bits.TrailingZeros64(v.lo))
+//	for n := v.Next(0); n < MaxNodes; n = v.Next(n + 1) { ... }
+func (v ReaderVec) Next(n NodeID) NodeID {
+	if n < InlineNodes {
+		if w := v.lo & (^uint64(0) << n); w != 0 {
+			return NodeID(bits.TrailingZeros64(w))
+		}
+		n = InlineNodes
 	}
-	if v.ext != nil {
-		g := bits.TrailingZeros64(v.ext.sum)
-		return NodeID(g*InlineNodes + bits.TrailingZeros64(v.ext.leaf[g-1]))
+	if v.ext == nil || n >= MaxNodes {
+		return MaxNodes
 	}
-	return MaxNodes
+	g, b := uint(n)/InlineNodes, uint(n)%InlineNodes
+	if w := v.ext.leaf[g-1] & (^uint64(0) << b); w != 0 {
+		return NodeID(g*InlineNodes + uint(bits.TrailingZeros64(w)))
+	}
+	s := v.ext.sum & (^uint64(0) << (g + 1))
+	if s == 0 {
+		return MaxNodes
+	}
+	g = uint(bits.TrailingZeros64(s))
+	return NodeID(g*InlineNodes + uint(bits.TrailingZeros64(v.ext.leaf[g-1])))
 }
 
 // Union returns the set union v ∪ o. When only one side has an extension
@@ -333,38 +339,22 @@ func (v ReaderVec) Hash() uint64 {
 // Nodes returns the member nodes in ascending order.
 func (v ReaderVec) Nodes() []NodeID {
 	out := make([]NodeID, 0, v.Count())
-	v.ForEach(func(n NodeID) { out = append(out, n) })
+	for n := v.Next(0); n < MaxNodes; n = v.Next(n + 1) {
+		out = append(out, n)
+	}
 	return out
-}
-
-// ForEach calls fn for every member node in ascending order.
-func (v ReaderVec) ForEach(fn func(NodeID)) {
-	for w := v.lo; w != 0; w &= w - 1 {
-		fn(NodeID(bits.TrailingZeros64(w)))
-	}
-	if v.ext == nil {
-		return
-	}
-	for s := v.ext.sum; s != 0; s &= s - 1 {
-		g := bits.TrailingZeros64(s)
-		for w := v.ext.leaf[g-1]; w != 0; w &= w - 1 {
-			fn(NodeID(g*InlineNodes + bits.TrailingZeros64(w)))
-		}
-	}
 }
 
 // String renders "{0,3,7}".
 func (v ReaderVec) String() string {
 	var b strings.Builder
 	b.WriteByte('{')
-	first := true
-	v.ForEach(func(n NodeID) {
-		if !first {
+	for n := v.Next(0); n < MaxNodes; n = v.Next(n + 1) {
+		if b.Len() > 1 {
 			b.WriteByte(',')
 		}
-		first = false
 		fmt.Fprintf(&b, "%d", n)
-	})
+	}
 	b.WriteByte('}')
 	return b.String()
 }

@@ -154,22 +154,25 @@ func TestReaderVecQuick(t *testing.T) {
 	}
 }
 
-// Property: ForEach visits exactly the Nodes() set in the same order.
-func TestReaderVecForEachMatchesNodes(t *testing.T) {
+// Property: the Next walk visits exactly the set bits of the inline word,
+// in ascending order.
+func TestReaderVecNextWalkMatchesBits(t *testing.T) {
 	f := func(raw uint64) bool {
 		v := VecFromLow(raw)
-		var visited []NodeID
-		v.ForEach(func(n NodeID) { visited = append(visited, n) })
-		nodes := v.Nodes()
-		if len(visited) != len(nodes) {
-			return false
-		}
-		for i := range nodes {
-			if visited[i] != nodes[i] {
-				return false
+		var want []NodeID
+		for i := 0; i < InlineNodes; i++ {
+			if raw&(1<<i) != 0 {
+				want = append(want, NodeID(i))
 			}
 		}
-		return true
+		i := 0
+		for n := v.Next(0); n < MaxNodes; n = v.Next(n + 1) {
+			if i >= len(want) || n != want[i] {
+				return false
+			}
+			i++
+		}
+		return i == len(want)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

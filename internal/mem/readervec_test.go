@@ -51,11 +51,50 @@ func (r refReaderSet) nodes() []NodeID {
 	return out
 }
 
-func (r refReaderSet) lowest() NodeID {
-	if len(r) == 0 {
+// next is the oracle for ReaderVec.Next: the smallest member ≥ n, or
+// MaxNodes when there is none.
+func (r refReaderSet) next(n NodeID) NodeID { return nextIn(r.nodes(), n) }
+
+// nextIn is next over an already sorted member list.
+func nextIn(sorted []NodeID, n NodeID) NodeID {
+	i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= n })
+	if i == len(sorted) {
 		return MaxNodes
 	}
-	return r.nodes()[0]
+	return sorted[i]
+}
+
+// nextProbes are the Next start points every differential check covers:
+// both ends of the inline word, the first two extension group edges, the
+// last node, and the out-of-range starts.
+var nextProbes = []NodeID{0, 1, InlineNodes - 1, InlineNodes, InlineNodes + 1,
+	2*InlineNodes - 1, 2 * InlineNodes, MaxNodes - 1, MaxNodes, NoNode}
+
+// checkNext compares Next against the oracle at the boundary probes and
+// at every member and its successor, then walks the whole set with the
+// Next idiom.
+func checkNext(t *testing.T, tag string, v ReaderVec, ref refReaderSet) {
+	t.Helper()
+	want := ref.nodes()
+	probes := append([]NodeID(nil), nextProbes...)
+	for _, m := range want {
+		probes = append(probes, m, m+1)
+	}
+	for _, n := range probes {
+		if got, w := v.Next(n), nextIn(want, n); got != w {
+			t.Fatalf("%s: Next(%d) = %d, want %d", tag, n, got, w)
+		}
+	}
+	i := 0
+	for n := v.Next(0); n < MaxNodes; n = v.Next(n + 1) {
+		if i >= len(want) || n != want[i] {
+			t.Fatalf("%s: Next walk visited %d at step %d, want %v", tag, n, i, want)
+		}
+		i++
+	}
+	if i != len(want) {
+		t.Fatalf("%s: Next walk visited %d members, want %d", tag, i, len(want))
+	}
 }
 
 func (r refReaderSet) equal(o refReaderSet) bool {
@@ -92,9 +131,7 @@ func checkAgainstRef(t *testing.T, tag string, v ReaderVec, ref refReaderSet, wi
 	if v.Empty() != (len(ref) == 0) {
 		t.Fatalf("%s: Empty = %v, want %v", tag, v.Empty(), len(ref) == 0)
 	}
-	if v.Lowest() != ref.lowest() {
-		t.Fatalf("%s: Lowest = %d, want %d", tag, v.Lowest(), ref.lowest())
-	}
+	checkNext(t, tag, v, ref)
 	wantNodes := ref.nodes()
 	gotNodes := v.Nodes()
 	if len(gotNodes) != len(wantNodes) {
@@ -103,13 +140,6 @@ func checkAgainstRef(t *testing.T, tag string, v ReaderVec, ref refReaderSet, wi
 	for i := range wantNodes {
 		if gotNodes[i] != wantNodes[i] {
 			t.Fatalf("%s: Nodes = %v, want %v", tag, gotNodes, wantNodes)
-		}
-	}
-	var visited []NodeID
-	v.ForEach(func(n NodeID) { visited = append(visited, n) })
-	for i := range wantNodes {
-		if len(visited) != len(wantNodes) || visited[i] != wantNodes[i] {
-			t.Fatalf("%s: ForEach visited %v, want %v", tag, visited, wantNodes)
 		}
 	}
 	if got, want := v.String(), ref.str(); got != want {
@@ -198,22 +228,27 @@ func TestReaderVecDifferential(t *testing.T) {
 					// Value-semantics check: mutating a copy must not
 					// disturb the original (copy-on-write aliasing).
 					saved := ref.clone()
-					mutated := v.With(n).Without(ref.lowest())
+					mutated := v.With(n).Without(ref.next(0))
 					_ = mutated
 					checkAgainstRef(t, tag+" after copy-mutation", v, saved, width)
 				}
 				checkAgainstRef(t, tag, v, ref, width)
 			}
-			// Drain to empty through Lowest/Without, the hot-loop idiom.
+			// Drain to empty through Next/Without: every step removes
+			// the current minimum, and the walk must end at MaxNodes.
 			for w, guard := v, 0; !w.Empty(); guard++ {
 				if guard > width {
-					t.Fatal("Lowest/Without drain did not terminate")
+					t.Fatal("Next/Without drain did not terminate")
 				}
-				low := w.Lowest()
+				low := w.Next(0)
 				if !w.Has(low) {
-					t.Fatalf("Lowest() = %d not a member", low)
+					t.Fatalf("Next(0) = %d not a member", low)
 				}
 				w = w.Without(low)
+				if w.Next(low) != ref.without(low).next(low) {
+					t.Fatalf("Next(%d) after removing it = %d", low, w.Next(low))
+				}
+				ref = ref.without(low)
 			}
 		})
 	}
@@ -254,7 +289,8 @@ func TestReaderVecHashEqualConsistency(t *testing.T) {
 // footgun the old API had), and the tolerant read-side ops stay safe.
 func TestReaderVecBoundary(t *testing.T) {
 	v := VecOf(MaxNodes - 1)
-	if !v.Has(MaxNodes-1) || v.Count() != 1 || v.Lowest() != MaxNodes-1 {
+	if !v.Has(MaxNodes-1) || v.Count() != 1 || v.Next(0) != MaxNodes-1 ||
+		v.Next(MaxNodes-1) != MaxNodes-1 || v.Next(MaxNodes) != MaxNodes {
 		t.Fatalf("VecOf(MaxNodes-1) = %v", v)
 	}
 	mustPanic := func(name string, fn func()) {
@@ -344,13 +380,14 @@ func FuzzReaderVec(f *testing.F) {
 					t.Fatalf("Equal diverged from oracle")
 				}
 			}
+			if got, want := v.Next(n), ref.next(n); got != want {
+				t.Fatalf("Next(%d) diverged: %d vs %d", n, got, want)
+			}
 		}
 		if v.Count() != len(ref) || v.Empty() != (len(ref) == 0) {
 			t.Fatalf("Count/Empty diverged: %d vs %d", v.Count(), len(ref))
 		}
-		if v.Lowest() != ref.lowest() {
-			t.Fatalf("Lowest diverged: %d vs %d", v.Lowest(), ref.lowest())
-		}
+		checkNext(t, "fuzz", v, ref)
 		nodes := v.Nodes()
 		want := ref.nodes()
 		if len(nodes) != len(want) {
@@ -369,4 +406,28 @@ func FuzzReaderVec(f *testing.F) {
 			t.Fatal("VecOf(Nodes()) must rebuild an equal, equally-hashing vector")
 		}
 	})
+}
+
+// TestReaderVecNextZeroAllocs pins the reason Next exists: walking a
+// wide set (members in the inline word and in several extension groups
+// of a 256-node machine) reads the vector in place and allocates nothing.
+func TestReaderVecNextZeroAllocs(t *testing.T) {
+	var v ReaderVec
+	for n := NodeID(0); n < 256; n += 7 {
+		v = v.With(n)
+	}
+	want := v.Count()
+	var visited int
+	avg := testing.AllocsPerRun(100, func() {
+		visited = 0
+		for n := v.Next(0); n < MaxNodes; n = v.Next(n + 1) {
+			visited++
+		}
+	})
+	if avg != 0 {
+		t.Errorf("Next walk over %d members allocates %.2f/run, want 0", want, avg)
+	}
+	if visited != want {
+		t.Fatalf("Next walk visited %d members, want %d", visited, want)
+	}
 }

@@ -3,6 +3,7 @@ package protocol
 import (
 	"testing"
 
+	"specdsm/internal/core"
 	"specdsm/internal/mem"
 	"specdsm/internal/network"
 	"specdsm/internal/sim"
@@ -114,5 +115,75 @@ func TestProtocolSteadyStateZeroAllocsManyBlocks(t *testing.T) {
 	avg := testing.AllocsPerRun(10, warm)
 	if avg != 0 {
 		t.Errorf("steady-state sweep over %d blocks allocates %.2f/run, want 0", len(addrs), avg)
+	}
+}
+
+// wideInvalReaders are 32 readers spread over the extension groups of a
+// 256-node machine (nodes 65..251).
+var wideInvalReaders = func() []mem.NodeID {
+	var out []mem.NodeID
+	for i := 0; i < 32; i++ {
+		out = append(out, mem.NodeID(65+6*i))
+	}
+	return out
+}()
+
+// wideInvalAddr is the block wideInvalCycle shares, homed at node 0.
+var wideInvalAddr = mem.MakeAddr(0, 7)
+
+// newWideInvalHarness builds the 256-node FR system of
+// BenchmarkInvalidateWide and warms it until the predictor forwards the
+// whole reader set.
+func newWideInvalHarness() *allocHarness {
+	h := newAllocHarness(256, Options{Active: core.NewSized(core.KindVMSP, 1, 256), EnableFR: true})
+	for i := 0; i < 10; i++ {
+		h.wideInvalCycle()
+	}
+	return h
+}
+
+// wideInvalCycle runs one read phase by every wide reader and one write
+// by node 1 that invalidates them all.
+func (h *allocHarness) wideInvalCycle() {
+	for _, r := range wideInvalReaders {
+		h.access(r, false, wideInvalAddr)
+	}
+	h.access(1, true, wideInvalAddr)
+}
+
+// wideInvalCycleAllocs is the pinned allocation count of one
+// wideInvalCycle: one 512-byte sharer-set extension per phase-level set
+// operation — the recalled reader's sharer set, the predictor's open run
+// gaining it, the forward's target set, and its union into the sharers
+// and into the open run. Cloning per target in the invalidation or
+// forwarding loops, or per ack, would add about 32 allocations per cycle
+// each (the loops that did so cost 132 in all).
+const wideInvalCycleAllocs = 5
+
+// TestInvalidateWideAllocs guards the wide sharer-set path: a warm
+// invalidation fan-out plus FR forwarding cycle stays at its pinned
+// allocation count, and the cycle really forwards to and invalidates the
+// whole reader set.
+func TestInvalidateWideAllocs(t *testing.T) {
+	h := newWideInvalHarness()
+	before := h.sys.Node(0).DirStats()
+	avg := testing.AllocsPerRun(20, h.wideInvalCycle)
+	after := h.sys.Node(0).DirStats()
+	runs := uint64(21) // AllocsPerRun adds one warm-up run
+	n := uint64(len(wideInvalReaders))
+	if got := (after.InvalsSent - before.InvalsSent) / runs; got != n {
+		t.Errorf("invalidations per cycle = %d, want %d", got, n)
+	}
+	if got := (after.SpecReadsFR - before.SpecReadsFR) / runs; got != n-1 {
+		t.Errorf("FR forwards per cycle = %d, want %d", got, n-1)
+	}
+	if avg != wideInvalCycleAllocs {
+		t.Errorf("wide invalidation cycle allocates %.2f/run, want %d", avg, wideInvalCycleAllocs)
+	}
+	if err := h.sys.CheckQuiescent(); err != nil {
+		t.Fatal(err)
+	}
+	if v := h.sys.Violations(); len(v) != 0 {
+		t.Fatalf("coherence violations: %v", v)
 	}
 }

@@ -40,3 +40,18 @@ func BenchmarkCacheHit(b *testing.B) {
 		h.access(0, true, wr)
 	}
 }
+
+// BenchmarkInvalidateWide measures the wide-machine sharer-set path: on a
+// 256-node system with a VMSP predictor and First-Read forwarding, one
+// cycle is 32 reads of a block by nodes above the inline tier (the first
+// recalls the writer's copy and forwards speculative copies to the other
+// 31) and one write by node 1 that invalidates all 32 sharers. The guard
+// in alloc_test.go pins its allocs/op.
+func BenchmarkInvalidateWide(b *testing.B) {
+	h := newWideInvalHarness()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.wideInvalCycle()
+	}
+}

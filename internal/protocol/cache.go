@@ -17,16 +17,18 @@ const (
 
 // Cache-line state is split structure-of-arrays across two parallel
 // slices sharing one stable index (see cache.hot/cold): lineHot is the
-// 24-byte record a hit reads — state, the flags byte, the granted
-// version, and the LRU stamp — while lineCold carries the block address
+// 32-byte record a hit reads — state, the flags byte, the granted
+// version, the LRU stamp, and the coherence checker's last observed
+// version — while lineCold carries the block address
 // and the outstanding-miss record (the old pend map), which only misses,
 // evictions, and audits touch. The hit path, the most frequent operation
 // in the whole simulator, dispatches entirely out of lineHot.
 type lineHot struct {
-	version uint64
-	lastUse uint64
-	state   lineState
-	flags   uint8
+	version  uint64
+	lastUse  uint64
+	observed uint64 // newest version seen, for System.checkObserved
+	state    lineState
+	flags    uint8
 }
 
 // lineHot.flags bits. spec marks a speculatively placed copy; referenced
@@ -264,7 +266,7 @@ func (c *cache) Access(isWrite bool, addr mem.BlockAddr, done func(AccessOutcome
 			if isWrite {
 				h.flags |= lfWritten
 			}
-			c.n.sys.checkObserved(c.n.id, addr, h.version)
+			c.n.sys.checkObserved(&h.observed, c.n.id, addr, h.version)
 			c.doneAfter(t.HitLatency, done, AccessOutcome{Class: class, Latency: t.HitLatency})
 			return
 		}
@@ -289,7 +291,7 @@ func (c *cache) Access(isWrite bool, addr mem.BlockAddr, done func(AccessOutcome
 			h.version = version
 			c.touch(h)
 			c.stats.LocalAccesses++
-			c.n.sys.checkObserved(c.n.id, addr, version)
+			c.n.sys.checkObserved(&h.observed, c.n.id, addr, version)
 			c.doneAfter(t.LocalMem, done, AccessOutcome{Class: ClassLocal, Latency: t.LocalMem})
 			return
 		}
@@ -416,7 +418,7 @@ func (c *cache) handleData(m Msg) {
 		h.state = lineShared
 	}
 	c.touch(h)
-	c.n.sys.checkObserved(c.n.id, m.Addr, m.Version)
+	c.n.sys.checkObserved(&h.observed, c.n.id, m.Addr, m.Version)
 	if p.invalOnFill {
 		// The invalidation that raced with our fill applies now: the data
 		// satisfies the ordered-earlier access exactly once.
@@ -445,7 +447,7 @@ func (c *cache) handleUpgradeAck(m Msg) {
 	h.flags &^= lfSpec
 	h.flags |= lfWritten
 	c.touch(h)
-	c.n.sys.checkObserved(c.n.id, m.Addr, m.Version)
+	c.n.sys.checkObserved(&h.observed, c.n.id, m.Addr, m.Version)
 	latency := c.n.sys.kernel.Now() + t.FillOverhead - p.start
 	c.doneAfter(t.FillOverhead, p.done, AccessOutcome{Class: ClassProtocol, Latency: latency})
 }

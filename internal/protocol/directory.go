@@ -131,6 +131,7 @@ const (
 // audits can walk the slice directly.
 type dirCold struct {
 	addr     mem.BlockAddr
+	latest   uint64 // last version granted, for System.noteVersion
 	waitq    []queuedReq
 	swiOwner mem.NodeID
 	swiGuard core.SWIGuard
@@ -221,9 +222,9 @@ type grantEvent struct {
 	dst       mem.NodeID
 	msg       Msg
 	sendData  bool
-	doFR      bool          // run specForward after the send
-	frExclude mem.ReaderVec // nodes excluded from the forward
-	frSWI     bool          // forward was triggered by SWI (stats)
+	doFR      bool       // run specForward after the send
+	frExclude mem.NodeID // node excluded from the forward (NoNode: none)
+	frSWI     bool       // forward was triggered by SWI (stats)
 	run       func()
 }
 
@@ -517,7 +518,7 @@ func (d *directory) serveRead(addr mem.BlockAddr, ei int32, src mem.NodeID) {
 			msg:       Msg{Kind: MsgData, Addr: addr, Version: h.version},
 			sendData:  true,
 			doFR:      phaseStart && d.n.opts.EnableFR,
-			frExclude: mem.VecOf(src),
+			frExclude: src,
 		})
 	case dirExclusive:
 		if h.owner == src {
@@ -539,14 +540,19 @@ func (d *directory) serveWrite(addr mem.BlockAddr, ei int32, kind mem.ReqKind, s
 		}
 		d.grantExclusive(addr, ei, src, kind, false)
 	case dirShared:
-		others := h.sharers.Without(src)
+		// Count and skip src in place: Without would clone a wide vector.
+		others := h.sharers.Count()
+		isSharer := h.sharers.Has(src)
+		if isSharer {
+			others--
+		}
 		// If src's sharer membership came from an unverified speculative
 		// forward, the home cannot assume src kept the copy (it may have
 		// dropped the speculated message under the race rule), so the
 		// grant must carry data rather than permission only.
 		_, specTainted := d.clearSpecPend(ei, src)
-		viaUpgrade := kind == mem.ReqUpgrade && h.sharers.Has(src) && !specTainted
-		if others.Empty() {
+		viaUpgrade := kind == mem.ReqUpgrade && isSharer && !specTainted
+		if others == 0 {
 			if verifyOn {
 				d.premature(addr, verify)
 			}
@@ -557,14 +563,15 @@ func (d *directory) serveWrite(addr mem.BlockAddr, ei int32, kind mem.ReqKind, s
 			kind:         transInval,
 			requester:    src,
 			reqKind:      kind,
-			acksLeft:     others.Count(),
+			acksLeft:     others,
 			grantUpgrade: viaUpgrade,
 			swiVerify:    verify,
 			swiVerifyOn:  verifyOn,
 		})
-		for w := others; !w.Empty(); {
-			q := w.Lowest()
-			w = w.Without(q)
+		for q := h.sharers.Next(0); q < mem.MaxNodes; q = h.sharers.Next(q + 1) {
+			if q == src {
+				continue
+			}
 			d.stats.InvalsSent++
 			d.n.sys.route(d.n.id, q, Msg{Kind: MsgInval, Addr: addr})
 		}
@@ -592,7 +599,7 @@ func (d *directory) grantExclusive(addr mem.BlockAddr, ei int32, src mem.NodeID,
 	h.owner = src
 	h.sharers = mem.ReaderVec{}
 	v := h.version
-	d.n.sys.noteVersion(addr, v)
+	d.n.sys.noteVersion(&d.cold[ei].latest, addr, v)
 	if viaUpgradeAck {
 		d.stats.UpgradeGrants++
 		d.n.sys.route(d.n.id, src, Msg{Kind: MsgUpgradeAck, Addr: addr, Version: v})
@@ -643,7 +650,8 @@ func (d *directory) processAck(src mem.NodeID, addr mem.BlockAddr, specUnused bo
 		}
 	}
 
-	h.sharers = h.sharers.Without(src)
+	// Acked nodes stay in the busy entry's sharers until the grant clears
+	// them (removing each would clone a wide vector per ack).
 	if h.tr == nil || h.tr.kind != transInval {
 		// Ack for a non-invalidating entry would be a protocol bug.
 		panic(fmt.Sprintf("protocol: stray ack for %v from %d", addr, src))
@@ -734,7 +742,7 @@ func (d *directory) processWriteback(src mem.NodeID, m Msg) {
 			msg:       Msg{Kind: MsgData, Addr: m.Addr, Version: h.version},
 			sendData:  true,
 			doFR:      d.n.opts.EnableFR,
-			frExclude: mem.VecOf(req),
+			frExclude: req,
 		})
 	case transWriteRecall:
 		req, reqKind := h.tr.requester, h.tr.reqKind
@@ -749,10 +757,11 @@ func (d *directory) processWriteback(src mem.NodeID, m Msg) {
 		d.cold[ei].swiOwner = src
 		d.startTrans(h, trans{kind: transGrant})
 		d.grantAfter(t.MemAccess, grantEvent{
-			addr:  m.Addr,
-			ei:    ei,
-			doFR:  true,
-			frSWI: true,
+			addr:      m.Addr,
+			ei:        ei,
+			doFR:      true,
+			frExclude: mem.NoNode,
+			frSWI:     true,
 		})
 	default:
 		panic(fmt.Sprintf("protocol: writeback during %v transaction for %v", h.tr.kind, m.Addr))
@@ -782,7 +791,7 @@ func (d *directory) tryLocalFastPath(addr mem.BlockAddr, isWrite bool) (uint64, 
 		return 0, false
 	}
 	soleLocal := h.state == dirIdle ||
-		(h.state == dirShared && h.sharers.Without(self).Empty())
+		(h.state == dirShared && h.sharers.Count() <= 1 && (h.sharers.Empty() || h.sharers.Has(self)))
 	if !soleLocal {
 		return 0, false
 	}
@@ -791,7 +800,7 @@ func (d *directory) tryLocalFastPath(addr mem.BlockAddr, isWrite bool) (uint64, 
 	h.state = dirExclusive
 	h.owner = self
 	h.sharers = mem.ReaderVec{}
-	d.n.sys.noteVersion(addr, h.version)
+	d.n.sys.noteVersion(&d.cold[ei].latest, addr, h.version)
 	return h.version, true
 }
 

@@ -56,4 +56,10 @@
 //     eviction-writeback marker, speculative-copy tracking) is folded into
 //     the cold record and retired by clearing its hot flag, so no map
 //     insert or delete happens after a block's first touch.
+//   - The coherence checker's state lives in these records too: each
+//     node's last observed version in lineHot, the latest grant in the
+//     home's dirCold, so checking is a field compare and Reset clears it.
+//   - Sharer sets are walked in place with mem.ReaderVec.Next and never
+//     mutated per target or per ack: above 64 nodes every mutation clones
+//     the vector's 512-byte extension.
 package protocol

@@ -44,10 +44,11 @@ func (d *directory) maybeSWI(addr mem.BlockAddr, writer mem.NodeID) {
 }
 
 // specForward sends speculative read-only copies of addr to the readers
-// the active predictor expects next, excluding the given nodes and anyone
-// already sharing. Each forwarded copy is tracked for verification, and
-// the predictor's history advances as if the reads had arrived (§4.2).
-func (d *directory) specForward(addr mem.BlockAddr, ei int32, exclude mem.ReaderVec, viaSWI bool) {
+// the active predictor expects next, excluding the given node (NoNode
+// excludes none) and anyone already sharing. Each forwarded copy is
+// tracked for verification, and the predictor's history advances as if
+// the reads had arrived (§4.2).
+func (d *directory) specForward(addr mem.BlockAddr, ei int32, exclude mem.NodeID, viaSWI bool) {
 	act := d.n.opts.Active
 	if act == nil {
 		return
@@ -57,7 +58,7 @@ func (d *directory) specForward(addr mem.BlockAddr, ei int32, exclude mem.Reader
 		return
 	}
 	h := &d.hot[ei]
-	targets := rp.Readers.AndNot(exclude).AndNot(h.sharers)
+	targets := rp.Readers.AndNot(h.sharers).Without(exclude)
 	if targets.Empty() {
 		return
 	}
@@ -65,10 +66,8 @@ func (d *directory) specForward(addr mem.BlockAddr, ei int32, exclude mem.Reader
 		return
 	}
 	v := h.version
-	for w := targets; !w.Empty(); {
-		q := w.Lowest()
-		w = w.Without(q)
-		h.sharers = h.sharers.With(q)
+	h.sharers = h.sharers.Union(targets)
+	for q := targets.Next(0); q < mem.MaxNodes; q = targets.Next(q + 1) {
 		d.setSpecPend(ei, q, rp)
 		if viaSWI {
 			d.stats.SpecReadsSWI++

@@ -69,10 +69,9 @@ type System struct {
 	// sendPool recycles the deferred-send events used by routeAfter.
 	sendPool sim.FreeList[sendEvent]
 
-	// Coherence checking (simulator-level omniscience, assertions only).
+	// Coherence checking (simulator-level omniscience, assertions only);
+	// its per-block state is lineHot.observed and dirCold.latest.
 	checkEnabled bool
-	latest       map[mem.BlockAddr]uint64
-	observed     map[obsKey]uint64
 	violations   []string
 }
 
@@ -103,11 +102,6 @@ func (s *System) routeAfter(delay sim.Cycle, src, dst mem.NodeID, msg Msg) {
 	s.kernel.After(delay, ev.run)
 }
 
-type obsKey struct {
-	node mem.NodeID
-	addr mem.BlockAddr
-}
-
 // NewSystem builds an n-node DSM on the given kernel. opts[i] configures
 // node i; a single-element opts slice applies to every node.
 func NewSystem(k *sim.Kernel, n int, timing Timing, netCfg network.Config, opts []Options) *System {
@@ -119,8 +113,6 @@ func NewSystem(k *sim.Kernel, n int, timing Timing, netCfg network.Config, opts 
 		net:          network.New[Msg](k, n, netCfg),
 		timing:       timing,
 		checkEnabled: true,
-		latest:       make(map[mem.BlockAddr]uint64),
-		observed:     make(map[obsKey]uint64),
 	}
 	for i := 0; i < n; i++ {
 		var o Options
@@ -158,8 +150,6 @@ func (s *System) Reset() {
 		n.ewi.Reset()
 	}
 	s.net.Reset()
-	clear(s.latest)
-	clear(s.observed)
 	s.violations = s.violations[:0]
 }
 
@@ -199,30 +189,30 @@ func (s *System) route(src, dst mem.NodeID, msg Msg) {
 	s.net.Send(src, dst, msg)
 }
 
-// noteVersion records a write-permission grant for coherence checking.
-func (s *System) noteVersion(addr mem.BlockAddr, v uint64) {
+// noteVersion records a write-permission grant in latest (dirCold.latest).
+func (s *System) noteVersion(latest *uint64, addr mem.BlockAddr, v uint64) {
 	if !s.checkEnabled {
 		return
 	}
-	if prev := s.latest[addr]; v != prev+1 {
+	if prev := *latest; v != prev+1 {
 		s.violations = append(s.violations,
 			fmt.Sprintf("version grant %d follows %d for %v", v, prev, addr))
 	}
-	s.latest[addr] = v
+	*latest = v
 }
 
 // checkObserved asserts per-node version monotonicity: a processor must
-// never observe an older version of a block than it has already seen.
-func (s *System) checkObserved(node mem.NodeID, addr mem.BlockAddr, v uint64) {
+// never observe an older version of a block than it has already seen,
+// which is recorded in seen (lineHot.observed, zero before the first).
+func (s *System) checkObserved(seen *uint64, node mem.NodeID, addr mem.BlockAddr, v uint64) {
 	if !s.checkEnabled {
 		return
 	}
-	k := obsKey{node, addr}
-	if prev, ok := s.observed[k]; ok && v < prev {
+	if prev := *seen; v < prev {
 		s.violations = append(s.violations,
 			fmt.Sprintf("node %d observed version %d after %d for %v", node, v, prev, addr))
 	}
-	s.observed[k] = v
+	*seen = v
 }
 
 // Violations returns all coherence-checker findings (empty on a correct

@@ -229,8 +229,10 @@ func (d *Dispatcher) shardLoop(ctx context.Context, k int, host string, b *board
 			attempted.Add(1)
 			first = false
 		}
-		if err == nil {
-			return // sweep finished or ctx cancelled
+		if err == nil || ctx.Err() != nil || b.finished() {
+			// Sweep finished or ctx cancelled: an error from Run's closing
+			// cancel tearing down a read is not a transport failure.
+			return
 		}
 		if errors.Is(err, errRefused) {
 			d.logf("shard %s: %v (giving up on this host)", host, err)

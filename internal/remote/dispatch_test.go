@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -591,5 +593,101 @@ func BenchmarkLoopbackDispatch(b *testing.B) {
 	err := d.Run(context.Background(), 0, b.N, func(i int, r Result) error { return nil })
 	if err != nil {
 		b.Fatal(err)
+	}
+}
+
+// logRecorder collects Dispatcher.Logf lines from its goroutines.
+type logRecorder struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *logRecorder) logf(format string, args ...any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+}
+
+// reconnects returns the logged reconnect lines.
+func (l *logRecorder) reconnects() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []string
+	for _, s := range l.lines {
+		if strings.Contains(s, "(reconnect ") {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// TestCleanSweepLogsNoReconnect: a fault-free sweep over two loopback
+// shards logs no reconnect. The sweep-end cancellation closes any
+// connection still waiting for a frame; that close is the shutdown, not
+// a transport failure.
+func TestCleanSweepLogsNoReconnect(t *testing.T) {
+	hosts := []string{
+		startServer(t, specCheckedServer(t, "spec-v1")),
+		startServer(t, specCheckedServer(t, "spec-v1")),
+	}
+	var log logRecorder
+	for round := range 5 {
+		d := &Dispatcher{
+			Hosts: hosts,
+			Spec:  []byte("spec-v1"),
+			Local: testRunner(),
+			Seed:  uint64(20 + round),
+			Logf:  log.logf,
+		}
+		deliver, got := collector()
+		if err := d.Run(context.Background(), 0, 50, deliver); err != nil {
+			t.Fatal(err)
+		}
+		verifyDeliveries(t, *got, 0, 50)
+	}
+	if r := log.reconnects(); len(r) != 0 {
+		t.Fatalf("clean sweeps logged reconnects: %q", r)
+	}
+}
+
+// TestSweepEndCloseIsNotReconnect pins the shutdown race deterministically:
+// the shard answers every job of its single batch but never sends the
+// batch-done frame, so when the sweep completes the dispatcher is still
+// blocked reading from it. Run's closing cancel tears that read down,
+// which must not be logged as a reconnect.
+func TestSweepEndCloseIsNotReconnect(t *testing.T) {
+	const n = 8
+	var log logRecorder
+	d := &Dispatcher{
+		Hosts:     []string{"held"},
+		Spec:      []byte("spec-v1"),
+		Local:     testRunner(),
+		BatchSize: n,
+		Seed:      30,
+		Logf:      log.logf,
+		Dial: scriptedDialer(func(sess int, conn net.Conn) {
+			defer conn.Close()
+			if !shardHandshake(conn) {
+				return
+			}
+			m, err := readMsg(conn)
+			if err != nil || m.Op != opExec {
+				return
+			}
+			for _, i := range m.Indices {
+				if writeMsg(conn, &msg{Op: opJobDone, Seq: m.Seq, Index: i, Payload: rowPayload(i)}) != nil {
+					return
+				}
+			}
+			readMsg(conn) // hold the batch open until the dispatcher hangs up
+		}),
+	}
+	deliver, got := collector()
+	if err := d.Run(context.Background(), 0, n, deliver); err != nil {
+		t.Fatal(err)
+	}
+	verifyDeliveries(t, *got, 0, n)
+	if r := log.reconnects(); len(r) != 0 {
+		t.Fatalf("sweep-end close logged as reconnect: %q", r)
 	}
 }
