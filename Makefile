@@ -9,7 +9,7 @@ SHELL := /bin/bash
 # the new one and bench-check can diff them.
 BENCH_OUT ?= BENCH_PR10.json
 
-.PHONY: check fmt vet build test race bench benchsmoke bench-check determinism chaos chaos-remote fuzzsmoke cover profile
+.PHONY: check fmt vet build test race bench benchsmoke bench-check determinism chaos chaos-remote fuzzsmoke cover profile loc
 
 # check is the full gate: formatting, vet, build, the test suite under
 # the race detector (the sweep engine is explicitly designed and tested
@@ -52,6 +52,13 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReaderVec -fuzztime=5s ./internal/mem
 	$(GO) test -run='^$$' -fuzz=FuzzPatKeyPack -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointFrames -fuzztime=5s ./internal/sweep
+
+# loc prints the number of non-test Go lines in the module, outside the
+# separate perfbench/ module and the benchmark's .bench_build/ cache —
+# the figure a change's "net non-test LoC delta" is measured in.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' -print0 \
+		| xargs -0 cat | wc -l
 
 # cover prints per-package statement coverage over the full test suite.
 cover:

@@ -168,32 +168,14 @@ type RTLPoint struct {
 	Failed string
 }
 
-// RTLSweep measures SWI-DSM's benefit as the interconnect slows down —
-// the empirical analogue of Figure 6's bottom-right panel: the higher the
-// remote-to-local ratio (clusters like NUMA-Q), the more a speculative
-// coherent DSM helps. Runs with default parallelism (one worker per
-// CPU); use RTLSweepParallel to pin the worker count.
-func RTLSweep(app string, p WorkloadParams, flights []int) ([]RTLPoint, error) {
-	return RTLSweepParallel(app, p, flights, 0)
-}
-
-// RTLSweepParallel is RTLSweep on a parallel-wide worker pool (0 or
-// negative selects runtime.NumCPU()). The flight×{Base, SWI} simulation
-// matrix fans out as independent jobs; output is identical for every
-// worker count.
-func RTLSweepParallel(app string, p WorkloadParams, flights []int, parallel int) ([]RTLPoint, error) {
-	var out []RTLPoint
-	err := RTLSweepStream(StudyConfig{Parallel: parallel}, app, p, flights,
-		func(_ int, pt RTLPoint) error {
-			out = append(out, pt)
-			return nil
-		})
-	return out, err
-}
-
-// RTLSweepStream is the streaming rtl sweep: each flight point is
-// emitted (in flight order, regardless of completion order) as soon as
-// its Base and SWI runs merge, instead of collecting the whole sweep.
+// RTLSweepStream measures SWI-DSM's benefit as the interconnect slows
+// down — the empirical analogue of Figure 6's bottom-right panel: the
+// higher the remote-to-local ratio (clusters like NUMA-Q), the more a
+// speculative coherent DSM helps. The flight×{Base, SWI} simulation
+// matrix fans out as independent jobs; each flight point (nil flights
+// selects 20, 80, 200, and 320 cycles) is emitted in flight order,
+// regardless of completion order, as soon as its Base and SWI runs
+// merge.
 // Only cfg's execution fields matter — Parallel, OnJobDone/Progress,
 // and the checkpoint fields, which make the sweep resumable per
 // simulation; workload shape comes from p. Returning an error from emit
@@ -326,11 +308,9 @@ func Characterize(cfg StudyConfig) ([]AppCharacterization, error) {
 		out = append(out, c)
 		return nil
 	}
-	fail := failRow(cfg, emit, func(i int, errText string) AppCharacterization {
-		return AppCharacterization{App: cfg.Apps[i], Failed: errText}
-	})
-	err = sweep.StreamFail(context.Background(), p, len(cfg.Apps),
-		func(_ context.Context, i int) (AppCharacterization, error) {
+	err = sweep.Run(context.Background(), p, sweep.Job[struct{}, AppCharacterization]{
+		N: len(cfg.Apps),
+		Fn: func(_ context.Context, _ struct{}, i int) (AppCharacterization, error) {
 			name := cfg.Apps[i]
 			app, ok := workload.ByName(name)
 			if !ok {
@@ -344,7 +324,11 @@ func Characterize(cfg StudyConfig) ([]AppCharacterization, error) {
 			})
 			return characterize(name, progs), nil
 		},
-		emit, fail)
+		Emit: emit,
+		Fail: failRow(cfg, emit, func(i int, errText string) AppCharacterization {
+			return AppCharacterization{App: cfg.Apps[i], Failed: errText}
+		}),
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -111,11 +111,21 @@ func TestCharacterizeUnknownApp(t *testing.T) {
 	}
 }
 
+// rtlPoints collects the rtl sweep's point stream.
+func rtlPoints(cfg specdsm.StudyConfig, app string, wp specdsm.WorkloadParams, flights []int) ([]specdsm.RTLPoint, error) {
+	var out []specdsm.RTLPoint
+	err := specdsm.RTLSweepStream(cfg, app, wp, flights, func(_ int, pt specdsm.RTLPoint) error {
+		out = append(out, pt)
+		return nil
+	})
+	return out, err
+}
+
 func TestRTLSweepMonotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is slow for -short")
 	}
-	points, err := specdsm.RTLSweep("em3d", specdsm.WorkloadParams{
+	points, err := rtlPoints(specdsm.StudyConfig{}, "em3d", specdsm.WorkloadParams{
 		Nodes: 8, Iterations: 4, Scale: 0.25,
 	}, []int{20, 80, 240})
 	if err != nil {

@@ -41,6 +41,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"runtime"
@@ -66,7 +67,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	err = run(o)
+	err = run(o, os.Stdout)
 	if perr := stopProfiles(); err == nil {
 		err = perr
 	}
@@ -129,7 +130,7 @@ func startProfiles(o options) (stop func() error, err error) {
 	}, nil
 }
 
-func run(o options) error {
+func run(o options, out io.Writer) error {
 	cfg := o.Cfg
 	// failed collects keep-going FAILED jobs across studies, in study
 	// then job-index order; the manifest prints once after the tables so
@@ -142,9 +143,9 @@ func run(o options) error {
 		if len(failed) == 0 {
 			return
 		}
-		fmt.Printf("FAILED jobs (%d, kept going):\n", len(failed))
+		fmt.Fprintf(out, "FAILED jobs (%d, kept going):\n", len(failed))
 		for _, f := range failed {
-			fmt.Printf("  %s\n", f)
+			fmt.Fprintf(out, "  %s\n", f)
 		}
 	}
 	if cfg.Salvage {
@@ -181,10 +182,10 @@ func run(o options) error {
 		}
 	}
 	if o.want("table1") {
-		fmt.Println(specdsm.RenderTable1())
+		fmt.Fprintln(out, specdsm.RenderTable1())
 	}
 	if o.want("table2") {
-		fmt.Println(specdsm.RenderTable2())
+		fmt.Fprintln(out, specdsm.RenderTable2())
 	}
 	if o.want("characterize") {
 		rows, err := specdsm.Characterize(cfg)
@@ -196,10 +197,10 @@ func run(o options) error {
 				note("characterize %s: %s", r.App, r.Failed)
 			}
 		}
-		fmt.Println(specdsm.RenderCharacterization(rows))
+		fmt.Fprintln(out, specdsm.RenderCharacterization(rows))
 	}
 	if o.want("fig6") {
-		fmt.Println(specdsm.RenderFigure6())
+		fmt.Fprintln(out, specdsm.RenderFigure6())
 	}
 	if o.Only == "rtl" {
 		start := time.Now()
@@ -216,9 +217,9 @@ func run(o options) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(specdsm.RenderRTLSweep("em3d", points))
+		fmt.Fprintln(out, specdsm.RenderRTLSweep("em3d", points))
 		manifest()
-		fmt.Printf("[rtl sweep: %v]\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(out, "[rtl sweep: %v]\n", time.Since(start).Round(time.Millisecond))
 		return nil
 	}
 	if o.Only == "scaling" {
@@ -236,9 +237,9 @@ func run(o options) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(specdsm.RenderNodeScaling(rows))
+		fmt.Fprintln(out, specdsm.RenderNodeScaling(rows))
 		manifest()
-		fmt.Printf("[scaling study: %v]\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(out, "[scaling study: %v]\n", time.Since(start).Round(time.Millisecond))
 		return nil
 	}
 
@@ -253,9 +254,9 @@ func run(o options) error {
 				note("seeds %s: %d (seed, app) cell(s) failed", a.App, a.Failed)
 			}
 		}
-		fmt.Println(specdsm.RenderFigure9Aggregate(agg))
+		fmt.Fprintln(out, specdsm.RenderFigure9Aggregate(agg))
 		manifest()
-		fmt.Printf("[multi-seed study: %v]\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(out, "[multi-seed study: %v]\n", time.Since(start).Round(time.Millisecond))
 		return nil
 	}
 
@@ -272,18 +273,18 @@ func run(o options) error {
 			}
 		}
 		if o.want("fig7") {
-			fmt.Println(specdsm.RenderFigure7(specdsm.Figure7(study)))
+			fmt.Fprintln(out, specdsm.RenderFigure7(specdsm.Figure7(study)))
 		}
 		if o.want("fig8") {
-			fmt.Println(specdsm.RenderFigure8(specdsm.Figure8(study, nil)))
+			fmt.Fprintln(out, specdsm.RenderFigure8(specdsm.Figure8(study, nil)))
 		}
 		if o.want("table3") {
-			fmt.Println(specdsm.RenderTable3(specdsm.Table3(study)))
+			fmt.Fprintln(out, specdsm.RenderTable3(specdsm.Table3(study)))
 		}
 		if o.want("table4") {
-			fmt.Println(specdsm.RenderTable4(specdsm.Table4(study)))
+			fmt.Fprintln(out, specdsm.RenderTable4(specdsm.Table4(study)))
 		}
-		fmt.Printf("[predictor study: %v]\n\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(out, "[predictor study: %v]\n\n", time.Since(start).Round(time.Millisecond))
 	}
 
 	needSpec := o.want("fig9") || o.want("table5")
@@ -299,12 +300,12 @@ func run(o options) error {
 			}
 		}
 		if o.want("fig9") {
-			fmt.Println(specdsm.RenderFigure9(specdsm.Figure9(study)))
+			fmt.Fprintln(out, specdsm.RenderFigure9(specdsm.Figure9(study)))
 		}
 		if o.want("table5") {
-			fmt.Println(specdsm.RenderTable5(specdsm.Table5(study)))
+			fmt.Fprintln(out, specdsm.RenderTable5(specdsm.Table5(study)))
 		}
-		fmt.Printf("[speculation study: %v]\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(out, "[speculation study: %v]\n", time.Since(start).Round(time.Millisecond))
 	}
 	manifest()
 	return nil

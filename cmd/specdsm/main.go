@@ -97,13 +97,15 @@ func run(spec runSpec, out io.Writer) error {
 		p.Retries = spec.Retries
 		p.RetrySeed = uint64(spec.WP.Seed)
 		p.Inject = spec.Inject
-		return sweep.Stream(context.Background(), p, len(workloads),
-			func(_ context.Context, i int) (*specdsm.RunResult, error) {
+		return sweep.Run(context.Background(), p, sweep.Job[struct{}, *specdsm.RunResult]{
+			N: len(workloads),
+			Fn: func(_ context.Context, _ struct{}, i int) (*specdsm.RunResult, error) {
 				return specdsm.Run(workloads[i], spec.Opts)
 			},
-			func(i int, r *specdsm.RunResult) error {
+			Emit: func(i int, r *specdsm.RunResult) error {
 				return writeReport(out, r, workloads[i].Ops(), spec.Opts)
-			})
+			},
+		})
 	}
 
 	// App sweeps run through the library's study engine, which layers

@@ -34,16 +34,19 @@ type StudyConfig struct {
 	// Parallel: 1 and Parallel: N produce identical output.
 	Parallel int
 	// OnJobDone, when non-nil, is invoked after every completed
-	// simulation job with the job's index and wall-clock duration — live
-	// sweep progress on big matrices. Jobs complete concurrently and out
-	// of index order when Parallel > 1, so the callback must be safe for
-	// concurrent use (sweep.Progress wraps a log/slog logger suitably).
-	// The hook never affects study results.
+	// simulation job with the job's study index and wall-clock duration
+	// — live sweep progress on big matrices. Jobs replayed from a
+	// checkpoint do not run and are not reported. Jobs complete
+	// concurrently and out of index order when Parallel > 1, so the
+	// callback must be safe for concurrent use (sweep.ProgressETA wraps a
+	// log/slog logger suitably). The hook never affects study results.
 	OnJobDone func(index int, d time.Duration)
 	// Progress, when non-nil, logs every completed simulation job at
-	// Info level with completed/total counts and an ETA estimated from
-	// the recent completion rate (sweep.ProgressETA). It composes with
-	// OnJobDone and, like it, never affects study results.
+	// Info level with its study index, completed/total counts over the
+	// jobs this run executes (a resumed study excludes its replayed
+	// rows), and an ETA estimated from the recent completion rate
+	// (sweep.ProgressETA). It composes with OnJobDone and, like it,
+	// never affects study results.
 	Progress *slog.Logger
 	// CheckpointPath, when non-empty, streams every study through a
 	// crash-safe on-disk checkpoint at <path>.<study> (e.g. ck.predictor,
@@ -136,7 +139,8 @@ func (c StudyConfig) withDefaults() StudyConfig {
 }
 
 // pool builds the worker pool all study drivers fan their simulation
-// jobs out on; total is the study's job count (it sizes the ETA).
+// jobs out on; total is the number of jobs the pool will run (it sizes
+// the ETA).
 // Call on a config that already has defaults applied. An unparsable
 // FaultSpec is the only error.
 func (c StudyConfig) pool(total int) (*sweep.Pool, error) {
@@ -184,7 +188,7 @@ func (c StudyConfig) checkpoint(study string, jobs int, extra string) (*sweep.Ch
 	path := c.CheckpointPath + "." + study
 	switch {
 	case c.Resume && c.Salvage:
-		ck, rep, err := sweep.SalvageCheckpoint(path, key, c.CheckpointEvery)
+		ck, rep, err := sweep.SalvageCheckpoint(nil, path, key, c.CheckpointEvery)
 		if err != nil {
 			return nil, err
 		}
@@ -193,9 +197,9 @@ func (c StudyConfig) checkpoint(study string, jobs int, extra string) (*sweep.Ch
 		}
 		return ck, nil
 	case c.Resume:
-		return sweep.ResumeCheckpoint(path, key, c.CheckpointEvery)
+		return sweep.ResumeCheckpoint(nil, path, key, c.CheckpointEvery)
 	default:
-		return sweep.OpenCheckpoint(path, key, c.CheckpointEvery)
+		return sweep.OpenCheckpoint(nil, path, key, c.CheckpointEvery)
 	}
 }
 
@@ -297,9 +301,14 @@ func predictorJob(cfg StudyConfig) func(context.Context, *machine.Arena, int) (A
 // convenient form for the paper's seven-application tables, where the
 // full study is small. The data behind Figures 7-8 and Tables 3-4.
 func PredictorStudy(cfg StudyConfig) ([]AppPrediction, error) {
-	cfg = cfg.withDefaults()
-	out := make([]AppPrediction, 0, len(cfg.Apps))
-	if err := PredictorStudyStream(cfg, func(_ int, row AppPrediction) error {
+	return collect(cfg, PredictorStudyStream)
+}
+
+// collect runs a streaming study and gathers its rows, in order, into a
+// slice.
+func collect[T any](cfg StudyConfig, stream func(StudyConfig, func(int, T) error) error) ([]T, error) {
+	var out []T
+	if err := stream(cfg, func(_ int, row T) error {
 		out = append(out, row)
 		return nil
 	}); err != nil {
@@ -405,15 +414,7 @@ func tripleFailure(triple []modeRun) string {
 // SpeculationStudy is SpeculationStudyStream collected into a slice,
 // yielding the data behind Figure 9 and Table 5.
 func SpeculationStudy(cfg StudyConfig) ([]AppSpeculation, error) {
-	cfg = cfg.withDefaults()
-	out := make([]AppSpeculation, 0, len(cfg.Apps))
-	if err := SpeculationStudyStream(cfg, func(_ int, row AppSpeculation) error {
-		out = append(out, row)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return collect(cfg, SpeculationStudyStream)
 }
 
 // Figure7Row is one group of bars of Figure 7: base predictor accuracy at

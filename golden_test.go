@@ -1,10 +1,10 @@
 package specdsm_test
 
-// Determinism goldens: the simulator is bit-reproducible, so exact cycle
-// counts for fixed (app, scale, seed, mode) are pinned here. A failure
-// means simulator behaviour changed — which may be intentional, but must
-// be noticed (update the constants deliberately, alongside EXPERIMENTS.md
-// if shapes moved).
+// Determinism checks: the simulator is bit-reproducible, so two runs of
+// one configuration must agree exactly, and every study must produce
+// the same rows at every worker count. The committed output goldens
+// that pin the actual numbers across changes live in
+// cmd/paperrepro/testdata (see cmd/paperrepro/golden_test.go).
 
 import (
 	"reflect"
@@ -111,16 +111,16 @@ func TestAggregatesParallelInvariant(t *testing.T) {
 	}
 
 	wp := specdsm.WorkloadParams{Nodes: 8, Iterations: 3, Scale: 0.25, Seed: 11}
-	r1, err := specdsm.RTLSweepParallel("em3d", wp, []int{20, 200}, 1)
+	r1, err := rtlPoints(seq, "em3d", wp, []int{20, 200})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := specdsm.RTLSweepParallel("em3d", wp, []int{20, 200}, 8)
+	r8, err := rtlPoints(par, "em3d", wp, []int{20, 200})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(r1, r8) {
-		t.Fatalf("RTLSweep diverged:\n%+v\nvs\n%+v", r1, r8)
+		t.Fatalf("RTLSweepStream diverged:\n%+v\nvs\n%+v", r1, r8)
 	}
 }
 

@@ -24,7 +24,7 @@
 // pays construction once per distinct configuration per worker instead
 // of once per cell. Network timing is not part of a machine's identity —
 // Arena reconfigures the interconnect in place (ReconfigureNetwork), so
-// a latency sweep like RTLSweep shares one machine per mode across all
-// its sweep points. Arenas are single-goroutine; sweep.MapWorker is the
-// intended carrier.
+// a latency sweep like RTLSweepStream shares one machine per mode across
+// all its sweep points. Arenas are single-goroutine; sweep.Job's
+// worker-local state is the intended carrier.
 package machine

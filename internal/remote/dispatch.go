@@ -71,7 +71,7 @@ type Dispatcher struct {
 	// (0 selects DefaultBatchSize).
 	BatchSize int
 	// Window bounds how far dispatch runs ahead of the ordered delivery,
-	// capping buffered results exactly like sweep.Pool.Window
+	// capping buffered results like the local pool's merge window
 	// (0 selects max(4×BatchSize×shards, 64)).
 	Window int
 	// HeartbeatTimeout is the per-frame read deadline on shard
@@ -163,8 +163,8 @@ func (d *Dispatcher) dial(addr string) (net.Conn, error) {
 
 // Run executes job indices [start, n) and delivers every result to
 // deliver strictly in index order on the calling goroutine — the same
-// contract as sweep.Stream, so the caller's emit/checkpoint plumbing
-// is oblivious to sharding. A non-nil error from deliver stops the
+// contract as the local pool behind sweep.Run, so the caller's
+// emit/checkpoint plumbing is oblivious to sharding. A non-nil error from deliver stops the
 // sweep and is returned. Run returns when all jobs are delivered,
 // deliver errors, or ctx is cancelled.
 func (d *Dispatcher) Run(ctx context.Context, start, n int, deliver func(i int, r Result) error) error {

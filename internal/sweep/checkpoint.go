@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -184,8 +183,8 @@ type SalvageReport struct {
 // Checkpoint persists the settled-prefix of one streaming sweep.
 // Create one with OpenCheckpoint (fresh), ResumeCheckpoint (continue,
 // strict), or SalvageCheckpoint (continue, tolerating a damaged tail);
-// pass it to StreamCheckpoint or StreamCheckpointFail, and frames are
-// appended and flushed automatically. A Checkpoint is used from the
+// pass it to Run as Job.Checkpoint, and frames are replayed, appended,
+// and flushed automatically. A Checkpoint is used from the
 // merge goroutine only and is not safe for concurrent use.
 type Checkpoint struct {
 	fsys  fault.FS
@@ -207,14 +206,11 @@ type Checkpoint struct {
 // (ErrCheckpointExists): starting over must be an explicit choice. The
 // empty initial snapshot is written immediately, so an unwritable path
 // fails before any simulation work is spent.
-func OpenCheckpoint(path, key string, every int) (*Checkpoint, error) {
-	return OpenCheckpointFS(nil, path, key, every)
-}
-
-// OpenCheckpointFS is OpenCheckpoint through an explicit filesystem
-// seam (nil selects the real one); it exists so fault-injection tests
-// can tear checkpoint writes.
-func OpenCheckpointFS(fsys fault.FS, path, key string, every int) (*Checkpoint, error) {
+//
+// fsys is the filesystem seam every checkpoint constructor takes (nil
+// selects the real filesystem); fault-injection tests pass a fault.FS
+// that tears checkpoint writes.
+func OpenCheckpoint(fsys fault.FS, path, key string, every int) (*Checkpoint, error) {
 	ck := newCheckpoint(fsys, path, key, every)
 	if _, err := ck.fsys.Lstat(path); err == nil {
 		return nil, fmt.Errorf("sweep: checkpoint %s: %w", path, ErrCheckpointExists)
@@ -235,17 +231,11 @@ func OpenCheckpointFS(fsys fault.FS, path, key string, every int) (*Checkpoint, 
 // error rather than silently recomputing or panicking downstream. For a
 // damaged file whose valid prefix is still worth resuming from, use
 // SalvageCheckpoint instead.
-func ResumeCheckpoint(path, key string, every int) (*Checkpoint, error) {
-	return ResumeCheckpointFS(nil, path, key, every)
-}
-
-// ResumeCheckpointFS is ResumeCheckpoint through an explicit filesystem
-// seam (nil selects the real one).
-func ResumeCheckpointFS(fsys fault.FS, path, key string, every int) (*Checkpoint, error) {
+func ResumeCheckpoint(fsys fault.FS, path, key string, every int) (*Checkpoint, error) {
 	ck := newCheckpoint(fsys, path, key, every)
 	f, err := ck.fsys.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return OpenCheckpointFS(fsys, path, key, every)
+		return OpenCheckpoint(fsys, path, key, every)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("sweep: checkpoint %s: %w", path, err)
@@ -272,17 +262,11 @@ func ResumeCheckpointFS(fsys fault.FS, path, key string, every int) (*Checkpoint
 //     rewrite the snapshot so the damage is gone from disk. The
 //     header's own count/length/CRC promises are ignored — after a torn
 //     flush they describe a file that no longer exists.
-func SalvageCheckpoint(path, key string, every int) (*Checkpoint, SalvageReport, error) {
-	return SalvageCheckpointFS(nil, path, key, every)
-}
-
-// SalvageCheckpointFS is SalvageCheckpoint through an explicit
-// filesystem seam (nil selects the real one).
-func SalvageCheckpointFS(fsys fault.FS, path, key string, every int) (*Checkpoint, SalvageReport, error) {
+func SalvageCheckpoint(fsys fault.FS, path, key string, every int) (*Checkpoint, SalvageReport, error) {
 	ck := newCheckpoint(fsys, path, key, every)
 	f, err := ck.fsys.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		ck, err := OpenCheckpointFS(fsys, path, key, every)
+		ck, err := OpenCheckpoint(fsys, path, key, every)
 		return ck, SalvageReport{}, err
 	}
 	if err != nil {
@@ -313,8 +297,14 @@ func newCheckpoint(fsys fault.FS, path, key string, every int) *Checkpoint {
 }
 
 // Rows returns how many frames the on-disk snapshot holds (the resume
-// point: jobs [0, Rows()) will be replayed, not re-run).
-func (ck *Checkpoint) Rows() int { return ck.rows }
+// point: jobs [0, Rows()) will be replayed, not re-run). A nil
+// checkpoint holds none.
+func (ck *Checkpoint) Rows() int {
+	if ck == nil {
+		return 0
+	}
+	return ck.rows
+}
 
 // Path returns the checkpoint file path.
 func (ck *Checkpoint) Path() string { return ck.path }
@@ -675,19 +665,11 @@ type recordedError string
 
 func (e recordedError) Error() string { return string(e) }
 
-// ReplayCheckpoint decodes the saved frames in order and hands each row
-// to emit with its original job index. A failure frame (written by a
-// keep-going sweep) is an error here: resuming such a file requires a
-// failure sink — use ReplayCheckpointFail.
-func ReplayCheckpoint[T any](ck *Checkpoint, emit func(i int, v T) error) error {
-	return ReplayCheckpointFail(ck, emit, nil)
-}
-
-// ReplayCheckpointFail is ReplayCheckpoint with a failure sink: rows go
-// to emit, recorded failures go to fail (carrying the persisted error
-// text), each with its original job index. With a nil fail, a failure
-// frame aborts the replay.
-func ReplayCheckpointFail[T any](ck *Checkpoint, emit func(i int, v T) error, fail FailFunc) error {
+// replay decodes the saved frames in order and hands each row to emit
+// and each recorded failure to fail (carrying the persisted error
+// text), with its original job index. With a nil fail, a failure frame
+// aborts the replay: the file was written by a keep-going sweep.
+func replay[T any](ck *Checkpoint, emit func(i int, v T) error, fail FailFunc) error {
 	if ck.rows == 0 {
 		return nil
 	}
@@ -727,75 +709,4 @@ func ReplayCheckpointFail[T any](ck *Checkpoint, emit func(i int, v T) error, fa
 		}
 	}
 	return nil
-}
-
-// ValidateJobs checks that the checkpoint's recorded frames fit a sweep
-// of n jobs, with the same error StreamCheckpointFail reports — for
-// callers that replay the checkpoint themselves and run the remaining
-// indices through another executor (the remote dispatcher).
-func (ck *Checkpoint) ValidateJobs(n int) error {
-	if ck.rows > n {
-		return ck.mismatch("holds %d frames but the sweep has only %d jobs", ck.rows, n)
-	}
-	return nil
-}
-
-// StreamCheckpoint is StreamWorker with persistence: frames already in
-// the checkpoint are replayed through emit without re-running their
-// jobs, the remaining indices run on the pool, and every newly emitted
-// row is appended to the checkpoint (flushed on the checkpoint's
-// cadence, and once more when the sweep ends, successfully or not). A
-// nil checkpoint degenerates to plain StreamWorker.
-//
-// Because replayed rows are byte-identical to the rows the original run
-// emitted and new rows are produced by the same deterministic jobs, an
-// interrupted-then-resumed sweep emits exactly the sequence an
-// uninterrupted run would have — at any worker count.
-func StreamCheckpoint[S, T any](ctx context.Context, p *Pool, n int, ck *Checkpoint, newState func() S, fn func(ctx context.Context, s S, i int) (T, error), emit func(i int, v T) error) error {
-	return StreamCheckpointFail(ctx, p, n, ck, newState, fn, emit, nil)
-}
-
-// StreamCheckpointFail is StreamCheckpoint in keep-going mode: fatal
-// job failures are recorded as failure frames in the checkpoint and
-// routed to fail in index order instead of aborting the sweep (see
-// StreamWorkerFail). Replayed failure frames reach fail too, so an
-// interrupted keep-going sweep resumes with the same complete
-// emit/fail sequence an uninterrupted run would have produced.
-func StreamCheckpointFail[S, T any](ctx context.Context, p *Pool, n int, ck *Checkpoint, newState func() S, fn func(ctx context.Context, s S, i int) (T, error), emit func(i int, v T) error, fail FailFunc) error {
-	if ck == nil {
-		return StreamWorkerFail(ctx, p, n, newState, fn, emit, fail)
-	}
-	if ck.rows > n {
-		return ck.mismatch("holds %d frames but the sweep has only %d jobs", ck.rows, n)
-	}
-	if err := ReplayCheckpointFail(ck, emit, fail); err != nil {
-		return err
-	}
-	if ck.rows == n {
-		return nil
-	}
-	base := ck.rows
-	var ckFail FailFunc
-	if fail != nil {
-		ckFail = func(j int, ferr error) error {
-			if err := ck.AppendFail(ferr); err != nil {
-				return err
-			}
-			return fail(base+j, ferr)
-		}
-	}
-	err := StreamWorkerFail(ctx, p, n-base, newState,
-		func(ctx context.Context, s S, j int) (T, error) { return fn(ctx, s, base+j) },
-		func(j int, v T) error {
-			if err := AppendRow(ck, v); err != nil {
-				return err
-			}
-			return emit(base+j, v)
-		}, ckFail)
-	// Persist whatever settled even when the sweep failed or was
-	// cancelled — that is the resume point. The sweep's own error wins.
-	if ferr := ck.Flush(); err == nil {
-		err = ferr
-	}
-	return err
 }

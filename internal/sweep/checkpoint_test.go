@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"specdsm/internal/sweep"
 )
@@ -43,16 +44,17 @@ func runCheckpointed(t *testing.T, path string, n, workers, every, failAt int, r
 	var ck *sweep.Checkpoint
 	var err error
 	if resume {
-		ck, err = sweep.ResumeCheckpoint(path, "test-study|n=unbounded", every)
+		ck, err = sweep.ResumeCheckpoint(nil, path, "test-study|n=unbounded", every)
 	} else {
-		ck, err = sweep.OpenCheckpoint(path, "test-study|n=unbounded", every)
+		ck, err = sweep.OpenCheckpoint(nil, path, "test-study|n=unbounded", every)
 	}
 	if err != nil {
 		return nil, err
 	}
 	var out []row
-	err = sweep.StreamCheckpoint(context.Background(), sweep.New(workers), n, ck, func() struct{} { return struct{}{} },
-		func(_ context.Context, _ struct{}, i int) (row, error) {
+	err = sweep.Run(context.Background(), sweep.New(workers), sweep.Job[struct{}, row]{
+		N: n, Checkpoint: ck,
+		Fn: func(_ context.Context, _ struct{}, i int) (row, error) {
 			if ran != nil {
 				ran.Add(1)
 			}
@@ -61,10 +63,11 @@ func runCheckpointed(t *testing.T, path string, n, workers, every, failAt int, r
 			}
 			return mkRow(i), nil
 		},
-		func(i int, v row) error {
+		Emit: func(i int, v row) error {
 			out = append(out, v)
 			return nil
-		})
+		},
+	})
 	return out, err
 }
 
@@ -72,9 +75,11 @@ func TestCheckpointInterruptResumeEqualsFresh(t *testing.T) {
 	const n = 50
 	// Uninterrupted reference run, no checkpoint.
 	var want []row
-	if err := sweep.Stream(context.Background(), sweep.New(1), n,
-		func(_ context.Context, i int) (row, error) { return mkRow(i), nil },
-		func(i int, v row) error { want = append(want, v); return nil }); err != nil {
+	if err := sweep.Run(context.Background(), sweep.New(1), sweep.Job[struct{}, row]{
+		N:    n,
+		Fn:   func(_ context.Context, _ struct{}, i int) (row, error) { return mkRow(i), nil },
+		Emit: func(i int, v row) error { want = append(want, v); return nil },
+	}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -126,7 +131,7 @@ func TestCheckpointOpenRefusesExistingFile(t *testing.T) {
 	if _, err := runCheckpointed(t, path, 5, 1, 2, -1, false, nil); err != nil {
 		t.Fatal(err)
 	}
-	_, err := sweep.OpenCheckpoint(path, "test-study|n=unbounded", 2)
+	_, err := sweep.OpenCheckpoint(nil, path, "test-study|n=unbounded", 2)
 	if !errors.Is(err, sweep.ErrCheckpointExists) {
 		t.Fatalf("err = %v, want ErrCheckpointExists", err)
 	}
@@ -134,10 +139,10 @@ func TestCheckpointOpenRefusesExistingFile(t *testing.T) {
 
 func TestCheckpointKeyMismatch(t *testing.T) {
 	path := ckPath(t)
-	if _, err := sweep.OpenCheckpoint(path, "study-A", 2); err != nil {
+	if _, err := sweep.OpenCheckpoint(nil, path, "study-A", 2); err != nil {
 		t.Fatal(err)
 	}
-	_, err := sweep.ResumeCheckpoint(path, "study-B", 2)
+	_, err := sweep.ResumeCheckpoint(nil, path, "study-B", 2)
 	if !errors.Is(err, sweep.ErrCheckpointMismatch) {
 		t.Fatalf("err = %v, want ErrCheckpointMismatch", err)
 	}
@@ -180,7 +185,7 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 			if err := os.WriteFile(path, fn(b), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, err = sweep.ResumeCheckpoint(path, "test-study|n=unbounded", 2)
+			_, err = sweep.ResumeCheckpoint(nil, path, "test-study|n=unbounded", 2)
 			if err == nil {
 				t.Fatal("corrupted checkpoint accepted")
 			}
@@ -217,7 +222,7 @@ func TestCheckpointFlushLeavesNoTempFile(t *testing.T) {
 		t.Fatalf("temp file left behind: %v", err)
 	}
 	// The snapshot must validate cleanly and hold all 9 rows.
-	ck, err := sweep.ResumeCheckpoint(path, "test-study|n=unbounded", 2)
+	ck, err := sweep.ResumeCheckpoint(nil, path, "test-study|n=unbounded", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,37 +231,108 @@ func TestCheckpointFlushLeavesNoTempFile(t *testing.T) {
 	}
 }
 
-// TestStreamWindowBoundsLookahead pins the bounded-merge contract: with
-// Window = W, no job starts more than W indices ahead of the emission
-// frontier, even when low indices are slow.
+// TestStreamWindowBoundsLookahead pins the bounded-merge contract: no
+// job starts a full merge window or more ahead of the emission frontier,
+// even when low indices are slow. The window is derived from the worker
+// count: 1 for one worker (a strictly sequential sweep), max(4×workers,
+// 64) otherwise.
 func TestStreamWindowBoundsLookahead(t *testing.T) {
-	const (
-		n      = 200
-		window = 8
-	)
-	var emitted atomic.Int64
-	var maxAhead atomic.Int64
-	p := sweep.New(16)
-	p.Window = window
-	err := sweep.Stream(context.Background(), p, n,
-		func(_ context.Context, i int) (int, error) {
-			ahead := int64(i) - emitted.Load()
-			for {
-				cur := maxAhead.Load()
-				if ahead <= cur || maxAhead.CompareAndSwap(cur, ahead) {
-					break
+	const n = 400
+	for _, tc := range []struct{ workers, window int }{{1, 1}, {16, 64}, {32, 128}} {
+		var emitted, maxAhead atomic.Int64
+		err := sweep.Run(context.Background(), sweep.New(tc.workers), sweep.Job[struct{}, int]{
+			N: n,
+			Fn: func(_ context.Context, _ struct{}, i int) (int, error) {
+				ahead := int64(i) - emitted.Load()
+				for {
+					cur := maxAhead.Load()
+					if ahead <= cur || maxAhead.CompareAndSwap(cur, ahead) {
+						break
+					}
 				}
-			}
-			return i, nil
-		},
-		func(i, v int) error {
-			emitted.Add(1)
-			return nil
+				if i%100 == 0 {
+					time.Sleep(2 * time.Millisecond)
+				}
+				return i, nil
+			},
+			Emit: func(i, v int) error {
+				emitted.Add(1)
+				return nil
+			},
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := maxAhead.Load(); got >= int64(tc.window) {
+			t.Fatalf("workers=%d: job ran %d ahead of the merge frontier, window is %d", tc.workers, got, tc.window)
+		}
+	}
+}
+
+// TestRunExecutorResumes drives the executor seam the way a remote
+// dispatcher does: after a checkpoint replay the executor is told the
+// resume offset and the count of jobs left, settles relative indices
+// one at a time through RunOne, and the completion hook it is handed
+// reports study indices. The stitched emission equals an uninterrupted
+// run, and the checkpoint ends up holding every row.
+func TestRunExecutorResumes(t *testing.T) {
+	const n, saved = 12, 5
+	path := ckPath(t)
+	if _, err := runCheckpointed(t, path, saved, 1, 1, -1, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := sweep.ResumeCheckpoint(nil, path, "test-study|n=unbounded", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := maxAhead.Load(); got > window {
-		t.Fatalf("job ran %d ahead of the merge frontier, window is %d", got, window)
+	var hooked []int
+	p := sweep.New(1)
+	p.OnJobDone = func(i int, _ time.Duration) { hooked = append(hooked, i) }
+	var got []row
+	var gotBase, gotN int
+	err = sweep.Run(context.Background(), p, sweep.Job[struct{}, row]{
+		N: n, Checkpoint: ck,
+		Emit: func(i int, v row) error {
+			if v.Index != i {
+				t.Fatalf("emit index %d carries row %d", i, v.Index)
+			}
+			got = append(got, v)
+			return nil
+		},
+		Exec: func(ctx context.Context, p *sweep.Pool, base, n int, emit func(int, row) error, fail sweep.FailFunc) error {
+			gotBase, gotN = base, n
+			for j := 0; j < n; j++ {
+				v, err := sweep.RunOne(ctx, p, struct{}{}, j, func(_ context.Context, _ struct{}, j int) (row, error) {
+					return mkRow(base + j), nil
+				})
+				if err != nil {
+					return err
+				}
+				if err := emit(j, v); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotBase != saved || gotN != n-saved {
+		t.Fatalf("executor ran (base %d, n %d), want (%d, %d)", gotBase, gotN, saved, n-saved)
+	}
+	for i, v := range got {
+		if !reflect.DeepEqual(v, mkRow(i)) {
+			t.Fatalf("row %d = %+v, want %+v", i, v, mkRow(i))
+		}
+	}
+	if len(got) != n {
+		t.Fatalf("emitted %d rows, want %d", len(got), n)
+	}
+	if len(hooked) != n-saved || hooked[0] != saved || hooked[len(hooked)-1] != n-1 {
+		t.Fatalf("hook reported %v, want study indices %d..%d", hooked, saved, n-1)
+	}
+	if ck.Rows() != n {
+		t.Fatalf("checkpoint holds %d rows after the sweep, want %d", ck.Rows(), n)
 	}
 }

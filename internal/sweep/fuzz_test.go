@@ -19,7 +19,7 @@ func FuzzCheckpointFrames(f *testing.F) {
 	// mutation starts from structurally meaningful bytes.
 	seedDir := f.TempDir()
 	seedPath := filepath.Join(seedDir, "seed.ckpt")
-	ck, err := sweep.OpenCheckpoint(seedPath, key, 1)
+	ck, err := sweep.OpenCheckpoint(nil, seedPath, key, 1)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -45,11 +45,11 @@ func FuzzCheckpointFrames(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
-		strict, strictErr := sweep.ResumeCheckpoint(path, key, 100)
+		strict, strictErr := sweep.ResumeCheckpoint(nil, path, key, 100)
 
 		// Salvage must never panic and only hard-fails on a readable
 		// header with a foreign key.
-		salvaged, rep, salvageErr := sweep.SalvageCheckpoint(path, key, 100)
+		salvaged, rep, salvageErr := sweep.SalvageCheckpoint(nil, path, key, 100)
 		if salvageErr != nil {
 			if strictErr == nil {
 				t.Fatalf("strict resume accepted what salvage rejected: %v", salvageErr)
@@ -65,14 +65,15 @@ func FuzzCheckpointFrames(f *testing.F) {
 		// The salvaged prefix must replay cleanly end to end (decode
 		// failures surface as errors, never panics), and the rewritten
 		// file must now satisfy the strict path.
-		replayErr := sweep.StreamCheckpoint(context.Background(), sweep.New(1), 8, salvaged,
-			func() struct{} { return struct{}{} },
-			func(_ context.Context, _ struct{}, i int) (map[string]int, error) {
+		replayErr := sweep.Run(context.Background(), sweep.New(1), sweep.Job[struct{}, map[string]int]{
+			N: 8, Checkpoint: salvaged,
+			Fn: func(_ context.Context, _ struct{}, i int) (map[string]int, error) {
 				return map[string]int{"row": i}, nil
 			},
-			func(i int, v map[string]int) error { return nil })
+			Emit: func(i int, v map[string]int) error { return nil },
+		})
 		_ = replayErr // may fail (e.g. valid CRC, alien gob) — it just must not panic
-		if _, err := sweep.ResumeCheckpoint(path, key, 100); err != nil {
+		if _, err := sweep.ResumeCheckpoint(nil, path, key, 100); err != nil {
 			t.Fatalf("strict resume rejects a salvage-rewritten file: %v", err)
 		}
 	})

@@ -34,14 +34,16 @@ func writeFullCheckpoint(t *testing.T, path string, n int) []row {
 func completeSalvaged(t *testing.T, ck *sweep.Checkpoint, n int, ran *atomic.Int64) []row {
 	t.Helper()
 	var out []row
-	err := sweep.StreamCheckpoint(context.Background(), sweep.New(1), n, ck, func() struct{} { return struct{}{} },
-		func(_ context.Context, _ struct{}, i int) (row, error) {
+	err := sweep.Run(context.Background(), sweep.New(1), sweep.Job[struct{}, row]{
+		N: n, Checkpoint: ck,
+		Fn: func(_ context.Context, _ struct{}, i int) (row, error) {
 			if ran != nil {
 				ran.Add(1)
 			}
 			return mkRow(i), nil
 		},
-		func(i int, v row) error { out = append(out, v); return nil })
+		Emit: func(i int, v row) error { out = append(out, v); return nil },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +79,10 @@ func TestSalvageOffsetClasses(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Strict resume must still reject the damage.
-			if _, err := sweep.ResumeCheckpoint(path, salvageKey, 4); err == nil {
+			if _, err := sweep.ResumeCheckpoint(nil, path, salvageKey, 4); err == nil {
 				t.Fatal("strict resume accepted a corrupted file")
 			}
-			ck, rep, err := sweep.SalvageCheckpoint(path, salvageKey, 4)
+			ck, rep, err := sweep.SalvageCheckpoint(nil, path, salvageKey, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +104,7 @@ func TestSalvageOffsetClasses(t *testing.T) {
 				t.Fatalf("re-ran %d jobs, want %d (n=%d minus %d salvaged)", ran.Load(), n-rep.Rows, n, rep.Rows)
 			}
 			// Salvage rewrote the file: a strict resume now succeeds.
-			if _, err := sweep.ResumeCheckpoint(path, salvageKey, 4); err != nil {
+			if _, err := sweep.ResumeCheckpoint(nil, path, salvageKey, 4); err != nil {
 				t.Fatalf("strict resume after salvage+complete: %v", err)
 			}
 		})
@@ -140,7 +142,7 @@ func TestSalvageEveryByteOffset(t *testing.T) {
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		ck, _, err := sweep.SalvageCheckpoint(path, salvageKey, 4)
+		ck, _, err := sweep.SalvageCheckpoint(nil, path, salvageKey, 4)
 		if err != nil {
 			var km *sweep.KeyMismatchError
 			if !errors.As(err, &km) {
@@ -217,12 +219,12 @@ func TestSalvageDegenerateFiles(t *testing.T) {
 			if err := os.WriteFile(path, clean[:tc.cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := sweep.ResumeCheckpoint(path, salvageKey, 4); err == nil {
+			if _, err := sweep.ResumeCheckpoint(nil, path, salvageKey, 4); err == nil {
 				t.Fatal("strict resume accepted a truncated file")
 			} else if !errors.Is(err, sweep.ErrCheckpointCorrupt) {
 				t.Fatalf("strict resume err = %v, want ErrCheckpointCorrupt", err)
 			}
-			ck, rep, err := sweep.SalvageCheckpoint(path, salvageKey, 4)
+			ck, rep, err := sweep.SalvageCheckpoint(nil, path, salvageKey, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +244,7 @@ func TestSalvageDegenerateFiles(t *testing.T) {
 			if ran.Load() != int64(n-tc.rows) {
 				t.Fatalf("re-ran %d jobs, want %d", ran.Load(), n-tc.rows)
 			}
-			if _, err := sweep.ResumeCheckpoint(path, salvageKey, 4); err != nil {
+			if _, err := sweep.ResumeCheckpoint(nil, path, salvageKey, 4); err != nil {
 				t.Fatalf("strict resume after salvage+complete: %v", err)
 			}
 		})
@@ -258,7 +260,7 @@ func keepGoingEvents(t *testing.T, path string, n, workers int, interruptAt int)
 	var ck *sweep.Checkpoint
 	if path != "" {
 		var err error
-		ck, err = sweep.ResumeCheckpoint(path, salvageKey, 4)
+		ck, err = sweep.ResumeCheckpoint(nil, path, salvageKey, 4)
 		if err != nil {
 			return nil, err
 		}
@@ -279,13 +281,15 @@ func keepGoingEvents(t *testing.T, path string, n, workers int, interruptAt int)
 		events = append(events, fmt.Sprintf("FAILED %d: %v", i, err))
 		return nil
 	}
-	err := sweep.StreamCheckpointFail(context.Background(), sweep.New(workers), n, ck, func() struct{} { return struct{}{} },
-		func(_ context.Context, _ struct{}, i int) (row, error) {
+	err := sweep.Run(context.Background(), sweep.New(workers), sweep.Job[struct{}, row]{
+		N: n, Checkpoint: ck, Emit: emit, Fail: fail,
+		Fn: func(_ context.Context, _ struct{}, i int) (row, error) {
 			if bad[i] {
 				return row{}, fmt.Errorf("job %d broke", i)
 			}
 			return mkRow(i), nil
-		}, emit, fail)
+		},
+	})
 	return events, err
 }
 
@@ -328,13 +332,15 @@ func TestReplayFailureFrameWithoutSink(t *testing.T) {
 	if _, err := keepGoingEvents(t, path, n, 1, -1); err != nil {
 		t.Fatal(err)
 	}
-	ck, err := sweep.ResumeCheckpoint(path, salvageKey, 4)
+	ck, err := sweep.ResumeCheckpoint(nil, path, salvageKey, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = sweep.StreamCheckpoint(context.Background(), sweep.New(1), n, ck, func() struct{} { return struct{}{} },
-		func(_ context.Context, _ struct{}, i int) (row, error) { return mkRow(i), nil },
-		func(i int, v row) error { return nil })
+	err = sweep.Run(context.Background(), sweep.New(1), sweep.Job[struct{}, row]{
+		N: n, Checkpoint: ck,
+		Fn:   func(_ context.Context, _ struct{}, i int) (row, error) { return mkRow(i), nil },
+		Emit: func(i int, v row) error { return nil },
+	})
 	if err == nil || !strings.Contains(err.Error(), "recorded failure") {
 		t.Fatalf("err = %v, want a recorded-failure explanation", err)
 	}
@@ -344,10 +350,10 @@ func TestKeyMismatchDiff(t *testing.T) {
 	path := ckPath(t)
 	stored := "specdsm/fig9|apps=em3d|nodes=16|iters=100|seed=1"
 	current := "specdsm/fig9|apps=em3d,moldyn|nodes=32|iters=100|seed=1|faults=seed=3"
-	if _, err := sweep.OpenCheckpoint(path, stored, 2); err != nil {
+	if _, err := sweep.OpenCheckpoint(nil, path, stored, 2); err != nil {
 		t.Fatal(err)
 	}
-	_, err := sweep.ResumeCheckpoint(path, current, 2)
+	_, err := sweep.ResumeCheckpoint(nil, path, current, 2)
 	var km *sweep.KeyMismatchError
 	if !errors.As(err, &km) {
 		t.Fatalf("err = %v, want *KeyMismatchError", err)
@@ -390,7 +396,7 @@ func TestFlushSurvivesInjectedIOFaults(t *testing.T) {
 			case "rename":
 				in.Rename = 1.0
 			}
-			ck, err := sweep.ResumeCheckpointFS(fault.NewFS(in, nil), path, salvageKey, 4)
+			ck, err := sweep.ResumeCheckpoint(fault.NewFS(in, nil), path, salvageKey, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -403,7 +409,7 @@ func TestFlushSurvivesInjectedIOFaults(t *testing.T) {
 			if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
 				t.Fatalf("failed flush left a temp file: %v", err)
 			}
-			clean, err := sweep.ResumeCheckpoint(path, salvageKey, 4)
+			clean, err := sweep.ResumeCheckpoint(nil, path, salvageKey, 4)
 			if err != nil {
 				t.Fatalf("snapshot damaged by failed flush: %v", err)
 			}

@@ -17,25 +17,17 @@ import (
 	"specdsm/internal/report"
 )
 
-// Pool sizes the worker set for Map, Stream, and their worker-state
-// variants. The zero value and New(0) both select runtime.NumCPU()
-// workers. Pools carry no per-sweep state and may be reused and shared
-// freely; a non-nil OnJobDone must itself be safe for concurrent use.
+// Pool sizes the worker set Run fans jobs out on. The zero value and
+// New(0) both select runtime.NumCPU() workers. Pools carry no per-sweep
+// state and may be reused and shared freely; a non-nil OnJobDone must
+// itself be safe for concurrent use.
 type Pool struct {
 	workers int
-	// Window bounds how far job claiming may run ahead of the ordered
-	// merge: a worker only starts job i once i falls within Window slots
-	// of the next index to be emitted. Completed-but-unemitted results
-	// are therefore capped at Window, so a streaming sweep's buffer
-	// memory is a function of the window, not of the total job count.
-	// Zero selects a default of max(4×workers, 64). The window only
-	// throttles; it never changes results or their order.
-	Window int
 	// OnJobDone, when non-nil, is invoked after every successfully
-	// completed job with the job's index and wall-clock duration, from
-	// the goroutine that ran the job — concurrently and out of index
+	// completed job with the job's study index and wall-clock duration,
+	// from the goroutine that ran the job — concurrently and out of index
 	// order on a multi-worker pool. It exists for progress reporting
-	// (see Progress and ProgressETA) and must not affect results.
+	// (see ProgressETA) and must not affect results.
 	OnJobDone func(index int, d time.Duration)
 	// Retries is the per-job retry budget for transient failures: a job
 	// whose error satisfies IsTransient is re-run in place — same index,
@@ -74,49 +66,51 @@ func (p *Pool) Workers() int {
 	return p.workers
 }
 
-// Sequential reports whether the pool degenerates to in-order,
-// single-goroutine execution.
-func (p *Pool) Sequential() bool { return p.Workers() == 1 }
-
-// window resolves the merge-window size for the given worker count.
-func (p *Pool) window(workers int) int {
-	if p != nil && p.Window > 0 {
-		return p.Window
+// mergeWindow bounds how far job claiming may run ahead of the ordered
+// merge: a worker only starts job i once i falls within the window of
+// the next index to be emitted, so completed-but-unemitted results never
+// exceed it and a sweep's buffer memory does not grow with its job
+// count. One worker gets a window of 1 — each job starts only after its
+// predecessor is emitted, so the sweep runs strictly in order and stops
+// at the first failure, like a plain loop. More workers get
+// max(4×workers, 64). The window only throttles; it never changes
+// results or their order.
+func mergeWindow(workers int) int {
+	if workers == 1 {
+		return 1
 	}
-	w := 4 * workers
-	if w < 64 {
-		w = 64
-	}
-	return w
+	return max(4*workers, 64)
 }
 
 // mergeGate throttles job claiming so that no job whose index lies at or
 // beyond base+window starts before the merge has emitted up to base.
 // With emission strictly in index order this caps completed-but-unemitted
-// results at window entries.
+// results at window entries. It also carries the sweep's stop point:
+// jobs at or beyond limit are not started.
 type mergeGate struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	base   int // results emitted so far
 	window int
-	closed bool
+	limit  int // first index not to start
 }
 
-func newMergeGate(window int) *mergeGate {
-	g := &mergeGate{window: window}
+func newMergeGate(window, n int) *mergeGate {
+	g := &mergeGate{window: window, limit: n}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
 
-// waitTurn blocks until job i may run (i < base+window), the gate closes,
-// or ctx is cancelled, and reports whether the job should still run.
+// waitTurn blocks until job i may run (i < base+window), the sweep
+// stops short of i, or ctx is cancelled, and reports whether the job
+// should still run.
 func (g *mergeGate) waitTurn(ctx context.Context, i int) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for i >= g.base+g.window && !g.closed && ctx.Err() == nil {
+	for i >= g.base+g.window && i < g.limit && ctx.Err() == nil {
 		g.cond.Wait()
 	}
-	return !g.closed && ctx.Err() == nil
+	return i < g.limit && ctx.Err() == nil
 }
 
 // advance publishes the new emitted count and wakes gated workers.
@@ -127,11 +121,13 @@ func (g *mergeGate) advance(base int) {
 	g.cond.Broadcast()
 }
 
-// close releases every current and future waiter; used when the sweep
-// stops early (failure, emit error) so gated workers can exit.
-func (g *mergeGate) close() {
+// stop lowers the limit to i when the sweep ends early (a failure or an
+// emit error at i): later jobs are not started, and gated workers wake
+// to exit. Jobs below i still run — a lower-index failure among them
+// must be found, since it is the one a sequential loop would report.
+func (g *mergeGate) stop(i int) {
 	g.mu.Lock()
-	g.closed = true
+	g.limit = min(g.limit, i)
 	g.mu.Unlock()
 	g.cond.Broadcast()
 }
@@ -180,7 +176,7 @@ type PanicError struct {
 // stack — enough to locate a panicking worker from study output alone.
 // The trimmed form is deterministic (no addresses, no goroutine IDs,
 // and no frames from the pool machinery, which differ between the
-// sequential and parallel paths), so output containing it stays
+// local pool and a remote shard), so output containing it stays
 // byte-identical at every worker count. The full raw stack remains in
 // Stack.
 func (e *PanicError) Error() string {
@@ -220,7 +216,7 @@ func trimStack(stack []byte) string {
 		}
 		if strings.Contains(fn, "specdsm/internal/sweep.") {
 			// The pool's own job runner: everything below differs
-			// between streamSeq and the worker goroutines. If the panic
+			// between executors and call sites. If the panic
 			// originated here (an injected panic), keep this one frame
 			// so the line is never empty.
 			if len(frames) == 0 {
@@ -258,50 +254,6 @@ func frameText(fn, loc string) string {
 	return fn + " (" + loc + ")"
 }
 
-// Map runs fn for every index in [0, n) on the pool and returns the
-// results in index order. On failure it returns the error of the
-// lowest-index failed job — the same error a sequential loop over the
-// jobs would have returned — and no results. Cancelling ctx stops
-// dispatch of not-yet-started jobs and is reported as ctx.Err() unless
-// a job failure takes precedence.
-func Map[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	return MapWorker(ctx, p, n, nothing,
-		func(ctx context.Context, _ struct{}, i int) (T, error) { return fn(ctx, i) })
-}
-
-// MapWorker is Map with worker-local state: every worker goroutine calls
-// newState once, lazily, before its first job, and that state is passed
-// to each job the worker claims. It exists for expensive reusable
-// per-worker scaffolding — a machine.Arena that amortizes simulated
-// machine construction across a worker's jobs is the motivating case.
-// State never crosses workers, and fn must keep results independent of
-// which worker (and therefore which state instance) ran the job, so
-// output stays identical for every worker count.
-func MapWorker[S, T any](ctx context.Context, p *Pool, n int, newState func() S, fn func(ctx context.Context, s S, i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := StreamWorker(ctx, p, n, newState, fn, func(i int, v T) error {
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// nothing is the no-state constructor behind Map and Stream.
-func nothing() struct{} { return struct{}{} }
-
-// Stream runs fn for every index in [0, n) on the pool and delivers
-// each result to emit in index order, as soon as the result and all of
-// its predecessors are available. emit always runs on the calling
-// goroutine and is never invoked for an index at or beyond a failed
-// one. A non-nil error from emit stops the sweep and is returned.
-func Stream[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Context, i int) (T, error), emit func(i int, v T) error) error {
-	return StreamWorker(ctx, p, n, nothing,
-		func(ctx context.Context, _ struct{}, i int) (T, error) { return fn(ctx, i) }, emit)
-}
-
 // FailFunc receives a fatal job failure in keep-going mode. It is
 // called from the same goroutine as emit, in strict index order
 // interleaved with emissions: for every index exactly one of emit or
@@ -309,39 +261,128 @@ func Stream[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Cont
 // emit error would.
 type FailFunc func(index int, err error) error
 
-// StreamFail is Stream in keep-going mode: a job whose failure is
-// fatal (after the pool's retry budget, if any) is routed to fail
-// instead of aborting the sweep, and later jobs still run and emit.
-// The sweep then returns nil even if jobs failed — the caller owns the
-// failure manifest fail accumulated.
-func StreamFail[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Context, i int) (T, error), emit func(i int, v T) error, fail FailFunc) error {
-	return StreamWorkerFail(ctx, p, n, nothing,
-		func(ctx context.Context, _ struct{}, i int) (T, error) { return fn(ctx, i) }, emit, fail)
+// Job describes one sweep for Run.
+type Job[S, T any] struct {
+	// N is the job count; jobs are the indices [0, N).
+	N int
+	// NewState builds one worker-local state value, lazily, before a
+	// worker's first job; every job the worker claims receives it. It
+	// exists for expensive reusable scaffolding — a machine.Arena that
+	// amortizes simulated-machine construction is the motivating case.
+	// State never crosses workers, and Fn must keep results independent
+	// of which worker ran the job. Nil gives every job the zero S.
+	NewState func() S
+	// Fn computes job i.
+	Fn func(ctx context.Context, s S, i int) (T, error)
+	// Emit receives each result in index order, on the calling
+	// goroutine, as soon as the result and all its predecessors are
+	// settled. A non-nil error stops the sweep and is returned.
+	Emit func(i int, v T) error
+	// Fail, when non-nil, selects keep-going mode: a job whose failure
+	// is fatal (after the pool's retry budget) is routed to Fail in its
+	// index slot instead of stopping the sweep, and later jobs still run.
+	// Run then returns nil even if jobs failed — the caller owns the
+	// failure manifest Fail accumulated. Nil stops the sweep at the
+	// lowest-index failure and returns its error.
+	Fail FailFunc
+	// Checkpoint, when non-nil, makes the sweep restartable: its saved
+	// frames are replayed through Emit and Fail without re-running their
+	// jobs, only the remaining indices run, every newly settled row or
+	// failure is appended, and the checkpoint is flushed once more when
+	// the sweep ends, successfully or not.
+	Checkpoint *Checkpoint
+	// Exec, when non-nil, runs the jobs in place of the local pool (a
+	// remote shard dispatcher); Fn and NewState are then unused.
+	Exec Executor[T]
 }
 
-// StreamWorker is Stream with worker-local state (see MapWorker).
-func StreamWorker[S, T any](ctx context.Context, p *Pool, n int, newState func() S, fn func(ctx context.Context, s S, i int) (T, error), emit func(i int, v T) error) error {
-	return StreamWorkerFail(ctx, p, n, newState, fn, emit, nil)
+// Executor runs the n jobs a sweep has left after its checkpoint
+// replay: relative index j is study index base+j. It must settle every
+// relative index through exactly one of emit or fail, in index order,
+// and stop at the first failure when fail is nil — the contract of the
+// local pool. p carries the retry and fault policy and an OnJobDone
+// hook that already reports study indices; fault and retry decisions
+// stay keyed on the relative index, as on the local pool.
+type Executor[T any] func(ctx context.Context, p *Pool, base, n int, emit func(j int, v T) error, fail FailFunc) error
+
+// Run executes job.N jobs and delivers their outcomes to job.Emit (and
+// job.Fail) strictly in index order, whatever the worker count: the
+// delivered sequence — and, with a nil Fail, which error is returned —
+// is the one a sequential loop over the jobs would have produced.
+// Cancelling ctx stops dispatch of not-yet-started jobs and is reported
+// as ctx.Err() unless a job failure takes precedence.
+//
+// Because replayed rows are byte-identical to the rows the original run
+// emitted and new rows come from the same deterministic jobs, an
+// interrupted-then-resumed sweep emits exactly the sequence an
+// uninterrupted run would have — at any worker count and on either
+// executor.
+func Run[S, T any](ctx context.Context, p *Pool, job Job[S, T]) error {
+	ck := job.Checkpoint
+	emit, fail := job.Emit, job.Fail
+	base := 0
+	if ck != nil {
+		if ck.rows > job.N {
+			return ck.mismatch("holds %d frames but the sweep has only %d jobs", ck.rows, job.N)
+		}
+		if err := replay(ck, emit, fail); err != nil {
+			return err
+		}
+		if ck.rows == job.N {
+			return nil
+		}
+		base = ck.rows
+		emit = func(j int, v T) error {
+			if err := AppendRow(ck, v); err != nil {
+				return err
+			}
+			return job.Emit(base+j, v)
+		}
+		if fail != nil {
+			fail = func(j int, ferr error) error {
+				if err := ck.AppendFail(ferr); err != nil {
+					return err
+				}
+				return job.Fail(base+j, ferr)
+			}
+		}
+		if hook := p.jobDoneHook(); hook != nil {
+			q := *p
+			q.OnJobDone = func(j int, d time.Duration) { hook(base+j, d) }
+			p = &q
+		}
+	}
+	var err error
+	if job.Exec != nil {
+		err = job.Exec(ctx, p, base, job.N-base, emit, fail)
+	} else {
+		fn, newState := job.Fn, job.NewState
+		if base > 0 {
+			fn = func(ctx context.Context, s S, j int) (T, error) { return job.Fn(ctx, s, base+j) }
+		}
+		if newState == nil {
+			newState = func() (s S) { return s }
+		}
+		err = stream(ctx, p, job.N-base, newState, fn, emit, fail)
+	}
+	if ck != nil {
+		// Persist whatever settled even when the sweep failed or was
+		// cancelled — that is the resume point. The sweep's own error
+		// wins.
+		if ferr := ck.Flush(); err == nil {
+			err = ferr
+		}
+	}
+	return err
 }
 
-// StreamWorkerFail is StreamWorker with an optional keep-going failure
-// sink: with a nil fail the first fatal job failure stops the sweep
-// (StreamWorker semantics); with a non-nil fail every index reaches
-// exactly one of emit or fail, in index order, and job failures do not
-// stop dispatch. Because the failed indices and their errors flow
-// through the same ordered merge as results, the interleaved
-// emit/fail sequence is identical at every worker count.
-func StreamWorkerFail[S, T any](ctx context.Context, p *Pool, n int, newState func() S, fn func(ctx context.Context, s S, i int) (T, error), emit func(i int, v T) error, fail FailFunc) error {
+// stream is the local-pool executor: n jobs fanned out over the pool's
+// workers and merged back in index order.
+func stream[S, T any](ctx context.Context, p *Pool, n int, newState func() S, fn func(ctx context.Context, s S, i int) (T, error), emit func(i int, v T) error, fail FailFunc) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
-	workers := p.Workers()
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		return streamSeq(ctx, p, n, newState, fn, emit, fail)
-	}
+	workers := min(p.Workers(), n)
 
 	type item struct {
 		i   int
@@ -354,21 +395,15 @@ func StreamWorkerFail[S, T any](ctx context.Context, p *Pool, n int, newState fu
 	// moment. Sizing the channel to that bound means workers never block
 	// on send and the merger is free to drain until close without any
 	// further worker-side coordination.
-	window := p.window(workers)
+	window := mergeWindow(workers)
 	results := make(chan item, window+workers)
-	gate := newMergeGate(window)
+	gate := newMergeGate(window, n)
 	stopWake := context.AfterFunc(ctx, gate.wake)
 	defer stopWake()
 	var (
 		next atomic.Int64 // next index to claim
-		stop atomic.Bool  // set on failure: claim no further jobs
 		wg   sync.WaitGroup
 	)
-	// halt stops dispatch: no new claims, and gated workers wake to exit.
-	halt := func() {
-		stop.Store(true)
-		gate.close()
-	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -381,14 +416,8 @@ func StreamWorkerFail[S, T any](ctx context.Context, p *Pool, n int, newState fu
 				hasState bool
 			)
 			for {
-				if stop.Load() || ctx.Err() != nil {
-					return
-				}
 				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if !gate.waitTurn(ctx, i) {
+				if i >= n || !gate.waitTurn(ctx, i) {
 					return
 				}
 				if !hasState {
@@ -408,9 +437,9 @@ func StreamWorkerFail[S, T any](ctx context.Context, p *Pool, n int, newState fu
 	// Ordered merge. pending buffers out-of-order completions (carrying
 	// their errors in keep-going mode); failIdx tracks the lowest failed
 	// index seen so far. With a nil fail, dispatch stops on the first
-	// failure, but in-flight lower-index jobs still finish and may lower
-	// failIdx further — exactly matching what a sequential loop would
-	// have hit first. With a non-nil fail, failures are buffered like
+	// failure, but lower-index jobs still run and may lower failIdx
+	// further — exactly matching what a sequential loop would have hit
+	// first. With a non-nil fail, failures are buffered like
 	// results and delivered to fail when their turn in the order comes.
 	pending := make(map[int]item, workers)
 	nextEmit := 0
@@ -421,7 +450,7 @@ func StreamWorkerFail[S, T any](ctx context.Context, p *Pool, n int, newState fu
 			if it.i < failIdx {
 				failIdx, failErr = it.i, it.err
 			}
-			halt()
+			gate.stop(failIdx)
 			continue
 		}
 		if it.i >= failIdx || emitErr != nil {
@@ -442,7 +471,7 @@ func StreamWorkerFail[S, T any](ctx context.Context, p *Pool, n int, newState fu
 			}
 			if err != nil {
 				emitErr = err
-				halt()
+				gate.stop(nextEmit)
 				break
 			}
 			nextEmit++
@@ -464,35 +493,8 @@ func StreamWorkerFail[S, T any](ctx context.Context, p *Pool, n int, newState fu
 	}
 }
 
-// streamSeq is the one-worker fast path: in-order execution on the
-// calling goroutine with a single state instance, stopping at the first
-// failure (or routing failures to fail in keep-going mode) — the exact
-// shape of the study loops the pool replaced.
-func streamSeq[S, T any](ctx context.Context, p *Pool, n int, newState func() S, fn func(ctx context.Context, s S, i int) (T, error), emit func(i int, v T) error, fail FailFunc) error {
-	state := newState()
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		v, err := runJob(ctx, p, state, i, fn)
-		if err != nil {
-			if fail == nil {
-				return err
-			}
-			if ferr := fail(i, err); ferr != nil {
-				return ferr
-			}
-			continue
-		}
-		if err := emit(i, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RunOne executes a single job under the pool's retry policy — the same
-// code path StreamWorker runs per index, exposed for executors that
+// code path Run's local pool takes per index, exposed for executors that
 // dispatch indices one at a time (a remote shard worker). The pool
 // contributes Retries, RetrySeed, Inject, and OnJobDone; workers and
 // windowing do not apply. Because the retry loop, injector seams, panic
@@ -593,32 +595,19 @@ func (p *Pool) injector() *fault.Injector {
 	return p.Inject
 }
 
-// Progress returns an OnJobDone callback that reports each completed
-// job through logger at Info level, with the job's index, the running
-// count of completed jobs, and the job's wall-clock duration. The
-// returned callback is safe for concurrent use, so it can drive a
-// multi-worker pool directly:
-//
-//	pool := sweep.New(cfg.Parallel)
-//	pool.OnJobDone = sweep.Progress(slog.Default())
-func Progress(logger *slog.Logger) func(index int, d time.Duration) {
-	var done atomic.Int64
-	return func(index int, d time.Duration) {
-		logger.Info("sweep job done",
-			"index", index, "completed", done.Add(1), "dur", d.Round(time.Millisecond))
-	}
-}
-
 // etaWindow is how many recent completion timestamps ProgressETA keeps:
 // the ETA tracks the *current* completion rate (workers warmed up, caches
 // hot) rather than averaging over the whole sweep's history.
 const etaWindow = 32
 
-// ProgressETA is Progress for a sweep of known total job count: every
-// completed job logs index, completed/total, duration, and an ETA
-// estimated from the completion rate over a sliding window of the most
-// recent completions (report.Rolling). Like Progress, the returned
-// callback is safe for concurrent use and only observes the sweep.
+// ProgressETA returns an OnJobDone callback that logs every completed
+// job through logger at Info level: its index, completed/total, its
+// wall-clock duration, and an ETA estimated from the completion rate
+// over a sliding window of the most recent completions (report.Rolling).
+// total is the number of jobs this run will execute — after a
+// checkpoint replay, the jobs left — so the last line reads
+// completed == total. The callback is safe for concurrent use, so it
+// can drive a multi-worker pool directly, and only observes the sweep.
 func ProgressETA(logger *slog.Logger, total int) func(index int, d time.Duration) {
 	var (
 		mu    sync.Mutex

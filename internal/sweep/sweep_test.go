@@ -16,13 +16,32 @@ func mixedLatency(i, n int) time.Duration {
 	return time.Duration((n-i)%7) * time.Millisecond
 }
 
+// indexJob adapts a stateless job function to Job.Fn.
+func indexJob[T any](fn func(ctx context.Context, i int) (T, error)) func(context.Context, struct{}, int) (T, error) {
+	return func(ctx context.Context, _ struct{}, i int) (T, error) { return fn(ctx, i) }
+}
+
+// collect runs fn for every index in [0, n) and returns the results in
+// index order, or the sweep's error and no results.
+func collect[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	err := Run(ctx, p, Job[struct{}, T]{N: n, Fn: indexJob(fn), Emit: func(i int, v T) error {
+		out[i] = v
+		return nil
+	}})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func TestMapOrderedUnderMixedLatency(t *testing.T) {
 	const n = 96
 	for _, workers := range []int{1, 2, 4, 16, 200} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			t.Parallel()
-			got, err := Map(context.Background(), New(workers), n,
+			got, err := collect(context.Background(), New(workers), n,
 				func(_ context.Context, i int) (int, error) {
 					time.Sleep(mixedLatency(i, n))
 					return i * i, nil
@@ -45,18 +64,20 @@ func TestMapOrderedUnderMixedLatency(t *testing.T) {
 func TestStreamEmitsInSubmissionOrder(t *testing.T) {
 	const n = 200
 	var order []int
-	err := Stream(context.Background(), New(8), n,
-		func(_ context.Context, i int) (int, error) {
+	err := Run(context.Background(), New(8), Job[struct{}, int]{
+		N: n,
+		Fn: func(_ context.Context, _ struct{}, i int) (int, error) {
 			time.Sleep(mixedLatency(i, n))
 			return i, nil
 		},
-		func(i, v int) error {
+		Emit: func(i, v int) error {
 			if i != v {
 				t.Fatalf("emit index %d carries value %d", i, v)
 			}
 			order = append(order, i)
 			return nil
-		})
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +97,7 @@ func TestStreamEmitsInSubmissionOrder(t *testing.T) {
 func TestHammer(t *testing.T) {
 	const n = 2000
 	var started, sum atomic.Int64
-	got, err := Map(context.Background(), New(runtime.NumCPU()*4), n,
+	got, err := collect(context.Background(), New(runtime.NumCPU()*4), n,
 		func(_ context.Context, i int) (int, error) {
 			started.Add(1)
 			if i%13 == 0 {
@@ -105,7 +126,7 @@ func TestCancellationMidSweep(t *testing.T) {
 	const n = 500
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	_, err := Map(ctx, New(4), n, func(ctx context.Context, i int) (int, error) {
+	_, err := collect(ctx, New(4), n, func(ctx context.Context, i int) (int, error) {
 		if ran.Add(1) == 20 {
 			cancel()
 		}
@@ -127,7 +148,7 @@ func TestCancellationBeforeStart(t *testing.T) {
 	cancel()
 	var ran atomic.Int64
 	for _, workers := range []int{1, 4} {
-		_, err := Map(ctx, New(workers), 50, func(_ context.Context, i int) (int, error) {
+		_, err := collect(ctx, New(workers), 50, func(_ context.Context, i int) (int, error) {
 			ran.Add(1)
 			return i, nil
 		})
@@ -144,7 +165,7 @@ func TestPanicCaptured(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			_, err := Map(context.Background(), New(workers), 64,
+			_, err := collect(context.Background(), New(workers), 64,
 				func(_ context.Context, i int) (int, error) {
 					if i == 17 {
 						panic("boom")
@@ -172,7 +193,7 @@ func TestLowestIndexErrorWins(t *testing.T) {
 	const n = 120
 	fail := map[int]bool{7: true, 8: true, 40: true, 90: true}
 	for trial := 0; trial < 20; trial++ {
-		_, err := Map(context.Background(), New(16), n,
+		_, err := collect(context.Background(), New(16), n,
 			func(_ context.Context, i int) (int, error) {
 				time.Sleep(mixedLatency(i, n))
 				if fail[i] {
@@ -190,7 +211,7 @@ func TestErrorStopsDispatch(t *testing.T) {
 	const n = 10000
 	var ran atomic.Int64
 	boom := errors.New("early failure")
-	_, err := Map(context.Background(), New(4), n, func(_ context.Context, i int) (int, error) {
+	_, err := collect(context.Background(), New(4), n, func(_ context.Context, i int) (int, error) {
 		ran.Add(1)
 		if i == 0 {
 			return 0, boom
@@ -209,15 +230,17 @@ func TestErrorStopsDispatch(t *testing.T) {
 func TestStreamEmitErrorStops(t *testing.T) {
 	stopAt := errors.New("enough")
 	var emitted []int
-	err := Stream(context.Background(), New(8), 100,
-		func(_ context.Context, i int) (int, error) { return i, nil },
-		func(i, v int) error {
+	err := Run(context.Background(), New(8), Job[struct{}, int]{
+		N:  100,
+		Fn: func(_ context.Context, _ struct{}, i int) (int, error) { return i, nil },
+		Emit: func(i, v int) error {
 			emitted = append(emitted, i)
 			if i == 5 {
 				return stopAt
 			}
 			return nil
-		})
+		},
+	})
 	if !errors.Is(err, stopAt) {
 		t.Fatalf("err = %v, want emit error", err)
 	}
@@ -227,10 +250,10 @@ func TestStreamEmitErrorStops(t *testing.T) {
 }
 
 // TestSingleWorkerIsStrictlySequential pins the -parallel 1 contract:
-// jobs run one at a time, in order, on the calling goroutine.
+// with a merge window of one, jobs run one at a time, in order.
 func TestSingleWorkerIsStrictlySequential(t *testing.T) {
 	var order []int // no lock: single-worker jobs must not overlap
-	_, err := Map(context.Background(), New(1), 50,
+	_, err := collect(context.Background(), New(1), 50,
 		func(_ context.Context, i int) (int, error) {
 			order = append(order, i)
 			return i, nil
@@ -247,7 +270,7 @@ func TestSingleWorkerIsStrictlySequential(t *testing.T) {
 
 func TestSequentialStopsAtFirstError(t *testing.T) {
 	var ran atomic.Int64
-	_, err := Map(context.Background(), New(1), 50,
+	_, err := collect(context.Background(), New(1), 50,
 		func(_ context.Context, i int) (int, error) {
 			ran.Add(1)
 			if i == 3 {
@@ -274,16 +297,13 @@ func TestPoolDefaults(t *testing.T) {
 	if got := p.Workers(); got != runtime.NumCPU() {
 		t.Fatalf("nil pool Workers() = %d", got)
 	}
-	if !New(1).Sequential() || New(2).Sequential() {
-		t.Fatal("Sequential misreports")
-	}
 	if got := New(7).Workers(); got != 7 {
 		t.Fatalf("Workers() = %d, want 7", got)
 	}
 }
 
 func TestZeroJobs(t *testing.T) {
-	got, err := Map(context.Background(), New(8), 0,
+	got, err := collect(context.Background(), New(8), 0,
 		func(_ context.Context, i int) (int, error) { return i, nil })
 	if err != nil || len(got) != 0 {
 		t.Fatalf("got %v, %v", got, err)
@@ -299,12 +319,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 		time.Sleep(mixedLatency(i, n))
 		return fmt.Sprintf("r%04d", i*3), nil
 	}
-	seq, err := Map(context.Background(), New(1), n, job)
+	seq, err := collect(context.Background(), New(1), n, job)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8, 32} {
-		par, err := Map(context.Background(), New(workers), n, job)
+		par, err := collect(context.Background(), New(workers), n, job)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,6 +21,28 @@ type counter struct {
 	jobs int
 }
 
+// collectState runs n jobs with worker-local state through sweep.Run
+// and returns the results in index order.
+func collectState[S, T any](p *sweep.Pool, n int, newState func() S, fn func(context.Context, S, int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	err := sweep.Run(context.Background(), p, sweep.Job[S, T]{
+		N: n, NewState: newState, Fn: fn,
+		Emit: func(i int, v T) error {
+			out[i] = v
+			return nil
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// collect is collectState for stateless jobs.
+func collect[T any](p *sweep.Pool, n int, fn func(i int) (T, error)) ([]T, error) {
+	return collectState(p, n, nil, func(_ context.Context, _ struct{}, i int) (T, error) { return fn(i) })
+}
+
 // TestMapWorkerStateStaysWithinWorker checks the worker-state contract:
 // every job sees a state instance, a state never runs two jobs
 // concurrently, and the number of states built never exceeds the worker
@@ -31,7 +53,7 @@ func TestMapWorkerStateStaysWithinWorker(t *testing.T) {
 	newState := func() *counter {
 		return &counter{id: built.Add(1)}
 	}
-	out, err := sweep.MapWorker(context.Background(), sweep.New(4), n, newState,
+	out, err := collectState(sweep.New(4), n, newState,
 		func(_ context.Context, s *counter, i int) (int64, error) {
 			s.jobs++ // unsynchronized: the race detector verifies exclusivity
 			time.Sleep(time.Duration(i%3) * time.Millisecond)
@@ -53,11 +75,11 @@ func TestMapWorkerStateStaysWithinWorker(t *testing.T) {
 	}
 }
 
-// TestMapWorkerSequentialBuildsOneState pins the one-worker fast path:
-// a single state instance carries the whole sweep, in order.
+// TestMapWorkerSequentialBuildsOneState pins the one-worker path: a
+// single state instance carries the whole sweep, in order.
 func TestMapWorkerSequentialBuildsOneState(t *testing.T) {
 	var built, order []int
-	_, err := sweep.MapWorker(context.Background(), sweep.New(1), 5,
+	_, err := collectState(sweep.New(1), 5,
 		func() int { built = append(built, len(built)); return 42 },
 		func(_ context.Context, s int, i int) (int, error) {
 			if s != 42 {
@@ -96,11 +118,10 @@ func TestOnJobDoneReportsEveryJob(t *testing.T) {
 			}
 			seen[i] = d
 		}
-		_, err := sweep.Map(context.Background(), p, n,
-			func(_ context.Context, i int) (int, error) {
-				time.Sleep(100 * time.Microsecond)
-				return i, nil
-			})
+		_, err := collect(p, n, func(i int) (int, error) {
+			time.Sleep(100 * time.Microsecond)
+			return i, nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,13 +141,12 @@ func TestOnJobDoneSkipsFailedJobs(t *testing.T) {
 	var fired atomic.Int64
 	p := sweep.New(1)
 	p.OnJobDone = func(int, time.Duration) { fired.Add(1) }
-	_, err := sweep.Map(context.Background(), p, 5,
-		func(_ context.Context, i int) (int, error) {
-			if i == 3 {
-				return 0, fmt.Errorf("boom")
-			}
-			return i, nil
-		})
+	_, err := collect(p, 5, func(i int) (int, error) {
+		if i == 3 {
+			return 0, fmt.Errorf("boom")
+		}
+		return i, nil
+	})
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -135,18 +155,17 @@ func TestOnJobDoneSkipsFailedJobs(t *testing.T) {
 	}
 }
 
-// TestProgressLogsThroughSlog checks the slog adapter: every completed
-// job produces one Info line carrying index, completed count, and
-// duration.
+// TestProgressLogsThroughSlog checks the slog adapter on a concurrent
+// pool: every completed job produces one Info line carrying its index,
+// and the completed count reaches the total.
 func TestProgressLogsThroughSlog(t *testing.T) {
 	var buf bytes.Buffer
 	var mu sync.Mutex
 	logger := slog.New(slog.NewTextHandler(&lockedWriter{w: &buf, mu: &mu}, nil))
-	p := sweep.New(4)
-	p.OnJobDone = sweep.Progress(logger)
 	const n = 8
-	_, err := sweep.Map(context.Background(), p, n,
-		func(_ context.Context, i int) (int, error) { return i, nil })
+	p := sweep.New(4)
+	p.OnJobDone = sweep.ProgressETA(logger, n)
+	_, err := collect(p, n, func(i int) (int, error) { return i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +174,11 @@ func TestProgressLogsThroughSlog(t *testing.T) {
 		t.Fatalf("got %d log lines, want %d:\n%s", len(lines), n, buf.String())
 	}
 	for i := 0; i < n; i++ {
-		if !strings.Contains(buf.String(), fmt.Sprintf("index=%d", i)) {
+		if !strings.Contains(buf.String(), fmt.Sprintf("index=%d ", i)) {
 			t.Errorf("no log line for job index %d", i)
 		}
 	}
-	if !strings.Contains(buf.String(), fmt.Sprintf("completed=%d", n)) {
+	if !strings.Contains(buf.String(), fmt.Sprintf("completed=%d total=%d", n, n)) {
 		t.Errorf("final completed count %d never logged", n)
 	}
 }
@@ -174,11 +193,10 @@ func TestProgressETALogsTotalsAndETA(t *testing.T) {
 	const n = 12
 	p := sweep.New(4)
 	p.OnJobDone = sweep.ProgressETA(logger, n)
-	_, err := sweep.Map(context.Background(), p, n,
-		func(_ context.Context, i int) (int, error) {
-			time.Sleep(200 * time.Microsecond)
-			return i, nil
-		})
+	_, err := collect(p, n, func(i int) (int, error) {
+		time.Sleep(200 * time.Microsecond)
+		return i, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,13 +98,18 @@ func (rs remoteSpec) encode() ([]byte, error) {
 // the in-process pool would apply, which is what makes a job's outcome
 // — row bytes or failure text — independent of where it executes.
 //
-// An unknown study or an unparsable spec is a construction error; the
-// server refuses the connection so the dispatcher abandons this worker
+// An unknown study, an unparsable spec, or one that fails validation
+// (the StudyConfig checks, a negative resume offset, an empty or
+// non-positive study axis) is a construction error; the server refuses
+// the connection with the reason, so the dispatcher abandons this worker
 // instead of retrying a spec that cannot get better.
 func NewRemoteRunner(spec []byte) (remote.Runner, error) {
 	var rs remoteSpec
 	if err := gob.NewDecoder(bytes.NewReader(spec)).Decode(&rs); err != nil {
 		return nil, fmt.Errorf("specdsm: decoding study spec: %w", err)
+	}
+	if err := rs.validate(); err != nil {
+		return nil, err
 	}
 	cfg := rs.config()
 	switch rs.Study {
@@ -127,6 +132,28 @@ func NewRemoteRunner(spec []byte) (remote.Runner, error) {
 	default:
 		return nil, fmt.Errorf("specdsm: unknown remote study %q", rs.Study)
 	}
+}
+
+// validate refuses a decoded spec no dispatcher would have sent.
+func (rs remoteSpec) validate() error {
+	if rs.Base < 0 {
+		return fmt.Errorf("specdsm: study spec has negative resume offset %d", rs.Base)
+	}
+	axes := map[string][]int{"scaling": rs.NodeCounts, "rtl": rs.RTLFlights}
+	if axis, ok := axes[rs.Study]; ok {
+		if len(axis) == 0 {
+			return fmt.Errorf("specdsm: %s study spec has an empty axis", rs.Study)
+		}
+		for _, v := range axis {
+			if v <= 0 {
+				return fmt.Errorf("specdsm: %s study spec has non-positive axis entry %d", rs.Study, v)
+			}
+		}
+	}
+	if rs.Study == "seeds" && len(rs.Seeds) == 0 {
+		return fmt.Errorf("specdsm: seeds study spec has no seeds")
+	}
+	return rs.config().Validate()
 }
 
 // runnerFor wraps a study's job function as a remote.Runner: one arena,
@@ -160,11 +187,11 @@ func runnerFor[T any](rs remoteSpec, fn func(context.Context, *machine.Arena, in
 }
 
 // streamStudy is the execution backend every study driver fans out on:
-// checkpoint replay plus an in-process worker pool (sweep.
-// StreamCheckpointFail), or — when cfg.Remote names shard workers — the
-// fault-tolerant remote dispatcher. Both paths deliver rows and
-// keep-going failures to emit/fail strictly in index order, so a study
-// cannot tell how (or where) its jobs ran.
+// sweep.Run over the study's checkpoint, with an in-process worker pool
+// or — when cfg.Remote names shard workers — the fault-tolerant remote
+// dispatcher as its executor. Either way rows and keep-going failures
+// reach emit/fail strictly in index order, so a study cannot tell how
+// (or where) its jobs ran.
 func streamStudy[T any](cfg StudyConfig, rs remoteSpec, n int, extra string,
 	fn func(context.Context, *machine.Arena, int) (T, error),
 	emit func(int, T) error, fail sweep.FailFunc) error {
@@ -172,93 +199,67 @@ func streamStudy[T any](cfg StudyConfig, rs remoteSpec, n int, extra string,
 	if err != nil {
 		return err
 	}
-	pool, err := cfg.pool(n)
+	// Replayed rows are not run again, so the progress ETA counts only
+	// the jobs left.
+	pool, err := cfg.pool(n - ck.Rows())
 	if err != nil {
 		return err
 	}
-	if len(cfg.Remote) == 0 {
-		return sweep.StreamCheckpointFail(context.Background(), pool, n, ck, machine.NewArena, fn, emit, fail)
+	job := sweep.Job[*machine.Arena, T]{
+		N: n, NewState: machine.NewArena, Fn: fn,
+		Emit: emit, Fail: fail, Checkpoint: ck,
 	}
-	return streamRemote(cfg, rs, n, ck, pool, emit, fail)
+	if len(cfg.Remote) > 0 {
+		job.Exec = streamRemote[T](cfg, rs)
+	}
+	return sweep.Run(context.Background(), pool, job)
 }
 
-// streamRemote is streamStudy's dispatcher path, mirroring
-// sweep.StreamCheckpointFail exactly: replay the checkpointed prefix,
-// dispatch the remaining relative indices across the shard fleet,
-// append every newly settled frame before handing it to the caller, and
-// flush the checkpoint even when the sweep fails — that is the resume
-// point. Job results come back as gob payloads; failures come back as
-// error text, which is all the local path persists or prints either.
-func streamRemote[T any](cfg StudyConfig, rs remoteSpec, n int, ck *sweep.Checkpoint, pool *sweep.Pool,
-	emit func(int, T) error, fail sweep.FailFunc) error {
-	base := 0
-	if ck != nil {
-		if err := ck.ValidateJobs(n); err != nil {
+// streamRemote is streamStudy's dispatcher executor: it ships the spec
+// with the resume offset and spreads the remaining relative indices
+// across the shard fleet. Job results come back as gob payloads;
+// failures come back as error text, which is all the local path
+// persists or prints either.
+func streamRemote[T any](cfg StudyConfig, rs remoteSpec) sweep.Executor[T] {
+	return func(ctx context.Context, p *sweep.Pool, base, n int, emit func(int, T) error, fail sweep.FailFunc) error {
+		rs.Base = base
+		spec, err := rs.encode()
+		if err != nil {
 			return err
 		}
-		if err := sweep.ReplayCheckpointFail(ck, emit, fail); err != nil {
+		// The degradation floor runs the exact worker-side code path —
+		// spec decode, per-runner arena, RunOne — so a sweep that falls
+		// back to local execution (dead fleet, poison job) is
+		// byte-identical to one a shard served.
+		local, err := NewRemoteRunner(spec)
+		if err != nil {
 			return err
 		}
-		base = ck.Rows()
-		if base == n {
-			return nil
+		d := &remote.Dispatcher{
+			Hosts:     cfg.Remote,
+			Spec:      spec,
+			Local:     local,
+			KeepGoing: cfg.KeepGoing,
+			Seed:      uint64(cfg.Seed),
+			OnJobDone: p.OnJobDone,
+			Inject:    p.Inject,
+			Logf:      cfg.RemoteLogf,
 		}
-	}
-	rs.Base = base
-	spec, err := rs.encode()
-	if err != nil {
-		return err
-	}
-	// The degradation floor runs the exact worker-side code path — spec
-	// decode, per-runner arena, RunOne — so a sweep that falls back to
-	// local execution (dead fleet, poison job) is byte-identical to one
-	// a shard served.
-	local, err := NewRemoteRunner(spec)
-	if err != nil {
-		return err
-	}
-	d := &remote.Dispatcher{
-		Hosts:     cfg.Remote,
-		Spec:      spec,
-		Local:     local,
-		KeepGoing: cfg.KeepGoing,
-		Seed:      uint64(cfg.Seed),
-		OnJobDone: pool.OnJobDone,
-		Inject:    pool.Inject,
-		Logf:      cfg.RemoteLogf,
-	}
-	deliver := func(j int, r remote.Result) error {
-		i := base + j
-		if r.Err != "" {
-			ferr := errors.New(r.Err)
-			if fail == nil {
-				return ferr
-			}
-			if ck != nil {
-				if err := ck.AppendFail(ferr); err != nil {
-					return err
+		return d.Run(ctx, 0, n, func(j int, r remote.Result) error {
+			if r.Err != "" {
+				ferr := errors.New(r.Err)
+				if fail == nil {
+					return ferr
 				}
+				return fail(j, ferr)
 			}
-			return fail(i, ferr)
-		}
-		var v T
-		if err := gob.NewDecoder(bytes.NewReader(r.Payload)).Decode(&v); err != nil {
-			return fmt.Errorf("specdsm: remote job %d: decoding result: %w", i, err)
-		}
-		if ck != nil {
-			if err := sweep.AppendRow(ck, v); err != nil {
-				return err
+			var v T
+			if err := gob.NewDecoder(bytes.NewReader(r.Payload)).Decode(&v); err != nil {
+				return fmt.Errorf("specdsm: remote job %d: decoding result: %w", base+j, err)
 			}
-		}
-		return emit(i, v)
+			return emit(j, v)
+		})
 	}
-	err = d.Run(context.Background(), 0, n-base, deliver)
-	if ck != nil {
-		if ferr := ck.Flush(); err == nil {
-			err = ferr
-		}
-	}
-	return err
 }
 
 // RunSweepStream runs every cfg.Apps workload on one machine

@@ -113,18 +113,6 @@ func scalingJob(cfg StudyConfig, nodeCounts []int) func(context.Context, *machin
 	}
 }
 
-// NodeScalingStudy is NodeScalingStudyStream collected into a slice.
-func NodeScalingStudy(cfg StudyConfig, nodeCounts []int) ([]NodeScaling, error) {
-	var out []NodeScaling
-	if err := NodeScalingStudyStream(cfg, nodeCounts, func(_ int, row NodeScaling) error {
-		out = append(out, row)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // RenderNodeScaling prints the scaling study in the style of the
 // paper's figure tables. The paper evaluates a 16-node machine only;
 // this study is the beyond-paper question its §8 raises — does

@@ -17,6 +17,13 @@ var scalingCfg = StudyConfig{
 	Seed:       1,
 }
 
+// scalingRows collects the scaling study's row stream.
+func scalingRows(cfg StudyConfig, nodes []int) ([]NodeScaling, error) {
+	return collect(cfg, func(cfg StudyConfig, emit func(int, NodeScaling) error) error {
+		return NodeScalingStudyStream(cfg, nodes, emit)
+	})
+}
+
 // TestNodeScalingStudy runs the study across both reader-vector tiers
 // up to N = 1024 and checks that every cell carries live data: the
 // run completed, speculation actually happened, and the traffic metric
@@ -26,7 +33,7 @@ func TestNodeScalingStudy(t *testing.T) {
 		t.Skip("wide machines are slow in -short mode")
 	}
 	nodes := []int{16, 64, 256, 1024}
-	rows, err := NodeScalingStudy(scalingCfg, nodes)
+	rows, err := scalingRows(scalingCfg, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +77,7 @@ func TestNodeScalingParallelInvariance(t *testing.T) {
 	run := func(parallel int) []NodeScaling {
 		cfg := scalingCfg
 		cfg.Parallel = parallel
-		rows, err := NodeScalingStudy(cfg, nodes)
+		rows, err := scalingRows(cfg, nodes)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,14 @@
 package specdsm_test
 
 import (
+	"bytes"
 	"errors"
+	"log/slog"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -162,5 +167,57 @@ func TestRTLSweepStreamInterruptResume(t *testing.T) {
 	total := int64(2 * len(flights))
 	if n := ran.Load(); n == 0 || n >= total {
 		t.Fatalf("resume ran %d of %d jobs, want a proper suffix", n, total)
+	}
+}
+
+// TestResumedProgressCountsJobsLeft: a resumed study's progress log
+// counts only the jobs it actually runs and names them by study index —
+// the first line is the first job after the replayed prefix, and the
+// last line reads completed == total.
+func TestResumedProgressCountsJobsLeft(t *testing.T) {
+	cfg := streamCfg()
+	cfg.Apps = []string{"em3d", "tomcatv", "moldyn"}
+	cfg.Parallel = 1
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "ck")
+	cfg.CheckpointEvery = 1
+	// Interrupt from the emit side at the second application: its three
+	// mode runs are already persisted when emit fails.
+	var ran atomic.Int64
+	interrupted := cfg
+	interrupted.OnJobDone = func(int, time.Duration) { ran.Add(1) }
+	stop := errors.New("interrupted")
+	err := specdsm.SpeculationStudyStream(interrupted, func(i int, _ specdsm.AppSpeculation) error {
+		if i == 1 {
+			return stop
+		}
+		return nil
+	})
+	if !errors.Is(err, stop) {
+		t.Fatalf("err = %v, want the interrupt", err)
+	}
+	replayed := int(ran.Load())
+
+	var buf bytes.Buffer
+	cfg.Resume = true
+	cfg.Progress = slog.New(slog.NewTextHandler(&buf, nil))
+	if err := specdsm.SpeculationStudyStream(cfg, func(int, specdsm.AppSpeculation) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	line := regexp.MustCompile(`index=(\d+) completed=(\d+) total=(\d+)`)
+	var got [][]string
+	for _, l := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if m := line.FindStringSubmatch(l); m != nil {
+			got = append(got, m[1:])
+		}
+	}
+	jobs := 3 * len(cfg.Apps)
+	if len(got) != jobs-replayed {
+		t.Fatalf("%d progress lines for %d jobs left:\n%s", len(got), jobs-replayed, buf.String())
+	}
+	if first := got[0][0]; first != strconv.Itoa(replayed) {
+		t.Errorf("first index = %s, want %d (the first job after %d replayed rows)", first, replayed, replayed)
+	}
+	if last := got[len(got)-1]; last[1] != last[2] {
+		t.Errorf("last line reads completed=%s total=%s, want completed == total", last[1], last[2])
 	}
 }
