@@ -1,6 +1,7 @@
 package specdsm
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -43,5 +44,29 @@ func TestArenaStudyRowEquivalence(t *testing.T) {
 	// Base, FR, and SWI differ in configuration; each gets one machine.
 	if n := arena.Machines(); n != 3 {
 		t.Errorf("arena holds %d machines, want 3 (one per mode)", n)
+	}
+}
+
+// BenchmarkPredictorJob measures the predictor study's per-job cost: one
+// application built and run under Base-DSM with the nine passive
+// observers (Cosmos, MSP, VMSP at depths 1, 2, 4), at the paper's 16
+// nodes and full scale, on a reused arena. Iterations cycle through the
+// seven applications; the arena is warmed with each one first.
+func BenchmarkPredictorJob(b *testing.B) {
+	cfg := StudyConfig{}.withDefaults()
+	job := predictorJob(cfg)
+	arena := machine.NewArena()
+	ctx := context.Background()
+	for i := range cfg.Apps {
+		if _, err := job(ctx, arena, i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := job(ctx, arena, i%len(cfg.Apps)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

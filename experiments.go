@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"runtime"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"specdsm/internal/core"
 	"specdsm/internal/fault"
 	"specdsm/internal/machine"
+	"specdsm/internal/mem"
 	"specdsm/internal/sweep"
 )
 
@@ -699,6 +701,12 @@ func Figure6() []Figure6Panel {
 // Validate sanity-checks a study config early.
 func (c StudyConfig) Validate() error {
 	cc := c.withDefaults()
+	if err := validNodes(cc.Nodes); err != nil {
+		return err
+	}
+	if math.IsNaN(cc.Scale) || math.IsInf(cc.Scale, 0) || cc.Scale <= 0 {
+		return fmt.Errorf("specdsm: invalid scale %v (want a finite value > 0)", cc.Scale)
+	}
 	for _, app := range cc.Apps {
 		if _, ok := appExists(app); !ok {
 			return fmt.Errorf("specdsm: unknown application %q", app)
@@ -721,6 +729,15 @@ func (c StudyConfig) Validate() error {
 		if _, _, err := net.SplitHostPort(h); err != nil {
 			return fmt.Errorf("specdsm: invalid remote shard address %q (want host:port): %v", h, err)
 		}
+	}
+	return nil
+}
+
+// validNodes refuses a machine size the workload generators cannot
+// build.
+func validNodes(n int) error {
+	if n < 2 || n > mem.MaxNodes {
+		return fmt.Errorf("specdsm: invalid node count %d (supported range [2,%d])", n, mem.MaxNodes)
 	}
 	return nil
 }

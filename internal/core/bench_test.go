@@ -7,11 +7,14 @@ import (
 	"specdsm/internal/mem"
 )
 
-// The paper attaches up to 9 observer predictors to every directory
-// message, so Observe is the innermost loop of every study. These
-// benchmarks pin its steady-state cost — and, via ReportAllocs and
-// TestObserveSteadyStateZeroAllocs, that the existing-pattern path does
-// not allocate.
+// The predictor study attaches 9 passive observers to every directory.
+// Each directory logs its messages and replays the log one observer at a
+// time, so an observer's Observe runs in long back-to-back stretches —
+// the loop these benchmarks time — and it is the innermost loop of the
+// predictor study; the active predictor's Observe runs online on every
+// message of the speculation runs. These benchmarks pin its steady-state
+// cost — and, via ReportAllocs and TestObserveSteadyStateZeroAllocs,
+// that the existing-pattern path does not allocate.
 
 // benchSeq is the producer/consumer iteration of Figures 2-4: one
 // upgrade, two acks (tracked only by Cosmos), two reads.

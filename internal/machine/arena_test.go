@@ -167,9 +167,12 @@ func TestFixedLatenciesFitNearWheel(t *testing.T) {
 
 // TestMachineRearmZeroAllocs guards the re-arm path: once a machine has
 // run, Reset re-arms it for the next workload without touching the heap
-// (tables, queues, dense slices, and pools are all retained).
+// (tables, queues, dense slices, observation logs, and pools are all
+// retained).
 func TestMachineRearmZeroAllocs(t *testing.T) {
-	m := New(arenaCfg("swi"))
+	cfg := arenaCfg("swi")
+	cfg.Observers = nineObservers()
+	m := New(cfg)
 	progs := arenaProgs("pc", 4, 7)
 	if _, err := m.Run(progs); err != nil {
 		t.Fatal(err)
@@ -184,5 +187,34 @@ func TestMachineRearmZeroAllocs(t *testing.T) {
 	// resets.
 	if _, err := m.Run(progs); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestObserverLogRunAllocs guards the observation log on a reused arena:
+// the allocations nine observers add to a warm Base run (the result's
+// per-spec maps) are the same whether each directory's log fills at most
+// once or half a dozen times, so feeding the observers allocates nothing
+// per record or per replay. With Reset allocation-free
+// (TestMachineRearmZeroAllocs), the log adds no allocations after the
+// machine's first run.
+func TestObserverLogRunAllocs(t *testing.T) {
+	extra := func(iters int) float64 {
+		progs := mixProgs(4, iters, 5)
+		runAllocs := func(cfg Config) float64 {
+			a := NewArena()
+			if _, err := a.Run(cfg, progs); err != nil {
+				t.Fatal(err)
+			}
+			return testing.AllocsPerRun(5, func() {
+				if _, err := a.Run(cfg, progs); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		return runAllocs(Config{Nodes: 4, Observers: nineObservers()}) - runAllocs(Config{Nodes: 4})
+	}
+	short, long := extra(60), extra(500)
+	if short != long {
+		t.Errorf("nine observers add %.1f allocs to a short warm run but %.1f to a long one", short, long)
 	}
 }

@@ -260,20 +260,9 @@ func New(cfg Config) *Machine {
 	return m
 }
 
-// System exposes the underlying protocol system (tests, examples).
+// System exposes the underlying protocol system (its trace hook, tests,
+// examples).
 func (m *Machine) System() *protocol.System { return m.sys }
-
-// Kernel exposes the simulation clock (e.g., for trace recorders).
-func (m *Machine) Kernel() *sim.Kernel { return m.kernel }
-
-// AttachObserver adds one pre-instantiated passive observer to every
-// node's directory, seeing the machine-wide directory message stream in
-// processing order. Must be called before Run.
-func (m *Machine) AttachObserver(p core.Predictor) {
-	for i := 0; i < m.cfg.Nodes; i++ {
-		m.sys.Node(mem.NodeID(i)).AddObserver(p)
-	}
-}
 
 // Reset re-arms a machine that has completed a run so it can Run again:
 // the kernel clock, network, protocol system, predictors, barriers, and
@@ -359,6 +348,7 @@ func (m *Machine) Run(programs []Program) (*Result, error) {
 			return nil, err
 		}
 	}
+	m.sys.FlushObservations()
 	return m.collect(executed), nil
 }
 

@@ -50,17 +50,19 @@ func TestSetCoherenceCheckingOff(t *testing.T) {
 }
 
 func TestAddObserverOnNode(t *testing.T) {
-	h := newHarness(t, 2)
 	p := core.NewMSP(1)
-	h.sys.Node(1).AddObserver(p)
-	// Traffic to node 1's home blocks reaches the added observer.
+	h := newHarness(t, 2, Options{}, Options{Observers: []core.Predictor{p}})
+	// Traffic to node 1's home blocks reaches the added observer once the
+	// directories' observation logs are flushed.
 	h.read(0, mem.MakeAddr(1, 0))
+	h.sys.FlushObservations()
 	if p.Stats().Tracked == 0 {
 		t.Fatal("added observer saw nothing")
 	}
 	// Traffic to node 0's home does not (observer attached at node 1 only).
 	before := p.Stats().Tracked
 	h.read(1, mem.MakeAddr(0, 0))
+	h.sys.FlushObservations()
 	if p.Stats().Tracked != before {
 		t.Fatal("observer saw traffic for another node's directory")
 	}

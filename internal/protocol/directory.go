@@ -240,6 +240,20 @@ func (g *grantEvent) fire() {
 	d.finish(addr, ei)
 }
 
+// ObserverLogLen is the capacity, in records, of each directory's
+// observation log: the passive observers are fed whenever it fills and
+// once more when the run ends (System.FlushObservations).
+const ObserverLogLen = 512
+
+// obsRec is one logged directory observation, packed into 8 bytes: the
+// entry's dense index stands in for the block address, which the replay
+// reads back from cold[ei].addr.
+type obsRec struct {
+	ei   int32
+	typ  core.MsgType
+	node mem.NodeID
+}
+
 // directory is the home-side controller of one node. Per-block state
 // lives inline in the parallel hot/cold slices; table maps a home block
 // to its stable index (entries are created on first touch and never
@@ -261,6 +275,10 @@ type directory struct {
 	processNext func()
 	grantPool   sim.FreeList[grantEvent]
 	transPool   sim.FreeList[trans]
+	// obsLog holds the observations the passive observers have not seen
+	// yet; it is allocated once, at ObserverLogLen records, when the node
+	// has observers, and stays nil otherwise.
+	obsLog []obsRec
 }
 
 func newDirectory(n *Node) *directory {
@@ -273,6 +291,9 @@ func newDirectory(n *Node) *directory {
 		cold: make([]dirCold, 0, 64),
 	}
 	d.processNext = d.dispatch
+	if len(n.opts.Observers) > 0 {
+		d.obsLog = make([]obsRec, 0, ObserverLogLen)
+	}
 	return d
 }
 
@@ -301,12 +322,15 @@ func (d *directory) entryIdx(addr mem.BlockAddr) int32 {
 }
 
 // reset re-arms the directory for a fresh run: the block table, dense
-// hot/cold slices, input queue, occupancy horizon, and counters clear,
-// retaining all storage — including each retired entry's waitq and
-// specPending backing arrays, which entryIdx re-adopts when the slot is
-// reused. The grant and transaction pools are kept. Entries must be
-// quiescent (no live transaction, empty waitq), which a completed run
-// guarantees via CheckQuiescent.
+// hot/cold slices, input queue, observation log, occupancy horizon, and
+// counters clear, retaining all storage — including each retired entry's
+// waitq and specPending backing arrays, which entryIdx re-adopts when the
+// slot is reused. The grant and transaction pools are kept. Records
+// still in the observation log are dropped unreplayed: they belong to a
+// run that failed before its final flush, and their entry indices name
+// entries this reset retires. Entries need not be quiescent: after a
+// run that failed mid-way, live transactions and queued requests are
+// dropped with the rest.
 func (d *directory) reset() {
 	d.table.Reset()
 	clear(d.hot)
@@ -323,6 +347,7 @@ func (d *directory) reset() {
 	d.stats = DirStats{}
 	d.inq = d.inq[:0]
 	d.inqHead = 0
+	d.obsLog = d.obsLog[:0]
 }
 
 // lookupIdx returns the stable index of addr's entry without creating it.
@@ -404,15 +429,38 @@ func (d *directory) process(src mem.NodeID, m Msg) {
 	}
 }
 
-// observe feeds one incoming message to every attached predictor.
-func (d *directory) observe(addr mem.BlockAddr, t core.MsgType, node mem.NodeID) {
-	o := core.Observation{Type: t, Node: node}
-	for _, p := range d.n.opts.Observers {
-		p.Observe(addr, o)
+// observe feeds one incoming message, for entry ei, to the trace hook
+// and the active predictor at once, and logs it for the passive
+// observers.
+func (d *directory) observe(ei int32, addr mem.BlockAddr, t core.MsgType, node mem.NodeID) {
+	if trace := d.n.sys.trace; trace != nil {
+		trace(d.n.sys.kernel.Now(), addr, t, node)
 	}
 	if a := d.n.opts.Active; a != nil {
-		a.Observe(addr, o)
+		a.Observe(addr, core.Observation{Type: t, Node: node})
 	}
+	if cap(d.obsLog) == 0 {
+		return
+	}
+	d.obsLog = append(d.obsLog, obsRec{ei: ei, typ: t, node: node})
+	if len(d.obsLog) == cap(d.obsLog) {
+		d.flushObs()
+	}
+}
+
+// flushObs replays the observation log into the passive observers
+// predictor-major — every record through the first observer, then every
+// record through the next — and empties it. Each observer sees exactly
+// the message sequence it would have seen online, while its tables stay
+// cache-hot for the whole log instead of being evicted by the other
+// observers after every message.
+func (d *directory) flushObs() {
+	for _, p := range d.n.opts.Observers {
+		for _, r := range d.obsLog {
+			p.Observe(d.cold[r.ei].addr, core.Observation{Type: r.typ, Node: r.node})
+		}
+	}
+	d.obsLog = d.obsLog[:0]
 }
 
 func (d *directory) processRequest(src mem.NodeID, kind mem.ReqKind, addr mem.BlockAddr) {
@@ -424,9 +472,8 @@ func (d *directory) processRequest(src mem.NodeID, kind mem.ReqKind, addr mem.Bl
 	case mem.ReqUpgrade:
 		d.stats.Upgrades++
 	}
-	d.observe(addr, core.ReqMsgType(kind), src)
-
 	ei := d.entryIdx(addr)
+	d.observe(ei, addr, core.ReqMsgType(kind), src)
 	if d.hot[ei].tr != nil {
 		d.stats.QueuedReqs++
 		d.pushWait(ei, packReq(kind, src))
@@ -631,8 +678,8 @@ func (d *directory) finish(addr mem.BlockAddr, ei int32) {
 }
 
 func (d *directory) processAck(src mem.NodeID, addr mem.BlockAddr, specUnused bool) {
-	d.observe(addr, core.MsgAckInv, src)
 	ei := d.entryIdx(addr)
+	d.observe(ei, addr, core.MsgAckInv, src)
 	h := &d.hot[ei]
 	d.stats.AcksReceived++
 
@@ -670,8 +717,8 @@ func (d *directory) processAck(src mem.NodeID, addr mem.BlockAddr, specUnused bo
 }
 
 func (d *directory) processWriteback(src mem.NodeID, m Msg) {
-	d.observe(m.Addr, core.MsgWriteback, src)
 	ei := d.entryIdx(m.Addr)
+	d.observe(ei, m.Addr, core.MsgWriteback, src)
 	h := &d.hot[ei]
 	d.stats.Writebacks++
 	if h.tr == nil {

@@ -52,13 +52,22 @@ func DefaultTiming() Timing {
 // Options configures a node's predictor attachment and speculation.
 type Options struct {
 	// Observers are passive predictors fed every message arriving at this
-	// node's directory. They never influence protocol behaviour; they are
-	// how Figures 7-8 and Tables 3-4 measure Cosmos/MSP/VMSP on identical
-	// message streams.
+	// node's directory, in arrival order. They never influence protocol
+	// behaviour; they are how Figures 7-8 and Tables 3-4 measure
+	// Cosmos/MSP/VMSP on identical message streams. Because nothing reads
+	// them mid-run, they are fed in batches: the directory logs each
+	// message and replays the log one observer at a time when it holds
+	// ObserverLogLen records and at System.FlushObservations, so an
+	// observer's Stats and Census are current only after a flush. An
+	// observer shared by several directories sees each directory's
+	// messages in order but not their machine-wide interleaving (the
+	// trace hook, System.SetTrace, has that). An observer must not also
+	// be the Active predictor.
 	Observers []core.Predictor
 	// Active is the predictor consulted for speculation (the paper's
-	// speculative DSMs use a VMSP with history depth one). It also
-	// observes all messages. Nil disables speculation entirely.
+	// speculative DSMs use a VMSP with history depth one). It observes
+	// every message online, before the directory acts on it. Nil disables
+	// speculation entirely.
 	Active core.Predictor
 	// EnableFR turns on First-Read triggering of read-sequence speculation.
 	EnableFR bool

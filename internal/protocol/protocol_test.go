@@ -539,6 +539,7 @@ func TestPassiveObserversSeeIdenticalStreams(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		producerConsumerRound(h, addr)
 	}
+	h.sys.FlushObservations()
 	cs, ms, vs := cosmos.Stats(), msp.Stats(), vmsp.Stats()
 	if ms.Tracked != vs.Tracked {
 		t.Fatalf("MSP/VMSP tracked differ: %d vs %d", ms.Tracked, vs.Tracked)

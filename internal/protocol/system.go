@@ -26,12 +26,6 @@ type Node struct {
 // ID returns the node's identifier.
 func (n *Node) ID() mem.NodeID { return n.id }
 
-// AddObserver attaches one more passive predictor to this node's
-// directory. Must be called before simulation starts.
-func (n *Node) AddObserver(p core.Predictor) {
-	n.opts.Observers = append(n.opts.Observers, p)
-}
-
 // Access issues a processor load or store. done fires at completion.
 func (n *Node) Access(isWrite bool, addr mem.BlockAddr, done func(AccessOutcome)) {
 	n.cache.Access(isWrite, addr, done)
@@ -68,6 +62,8 @@ type System struct {
 	nodes  []*Node
 	// sendPool recycles the deferred-send events used by routeAfter.
 	sendPool sim.FreeList[sendEvent]
+	// trace, when set, sees every directory-incoming message online.
+	trace TraceFunc
 
 	// Coherence checking (simulator-level omniscience, assertions only);
 	// its per-block state is lineHot.observed and dirCold.latest.
@@ -138,11 +134,12 @@ func NewSystem(k *sim.Kernel, n int, timing Timing, netCfg network.Config, opts 
 // Reset re-arms the system for a fresh run on a reset kernel: every
 // node's cache, directory, and early-write-invalidate table clear (all
 // retaining their storage), the network's occupancy horizons and
-// counters clear, and the coherence checker forgets its version history.
+// counters clear, the coherence checker forgets its version history, and
+// observations not yet replayed are dropped. The trace hook stays.
 // Attached predictors are NOT reset — they belong to the caller (the
-// machine layer owns and resets them alongside this call). Call only on
-// a quiescent system (a completed run); a reset system is observably
-// equivalent to a freshly constructed one.
+// machine layer owns and resets them alongside this call). Call between
+// runs, after a completed run or one the event guard stopped; a reset
+// system is observably equivalent to a freshly constructed one.
 func (s *System) Reset() {
 	for _, n := range s.nodes {
 		n.cache.reset()
@@ -151,6 +148,27 @@ func (s *System) Reset() {
 	}
 	s.net.Reset()
 	s.violations = s.violations[:0]
+}
+
+// TraceFunc receives one directory-incoming message: its processing
+// cycle, block, message type, and source node.
+type TraceFunc func(cycle sim.Cycle, addr mem.BlockAddr, t core.MsgType, node mem.NodeID)
+
+// SetTrace installs fn as the trace hook (nil removes it). Unlike the
+// passive observers, the hook is called online, as each message is
+// processed, so it sees the live clock and the machine-wide processing
+// order across all directories. Call before simulation starts.
+func (s *System) SetTrace(fn TraceFunc) { s.trace = fn }
+
+// FlushObservations replays every directory's observation log into its
+// passive observers (Options.Observers) and empties the logs. Observers
+// lag the simulation by fewer than ObserverLogLen messages per
+// directory, so call this before reading their statistics; the machine
+// layer does so at the end of every run.
+func (s *System) FlushObservations() {
+	for _, n := range s.nodes {
+		n.dir.flushObs()
+	}
 }
 
 // ReconfigureNetwork swaps the interconnect timing of a built system, for

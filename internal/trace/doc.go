@@ -4,8 +4,10 @@
 // The paper's predictor evaluation (§7.1–7.3) is a function of the
 // per-block message streams alone; capturing them once and replaying them
 // makes predictor studies cheap (no re-simulation) and lets external
-// traces be evaluated with the same machinery. A Recorder attaches to a
-// running machine exactly like a passive predictor, so the captured
-// stream is — by construction — identical to what an online predictor
-// would have observed.
+// traces be evaluated with the same machinery. A Recorder is installed as
+// the protocol's online trace hook (protocol.System.SetTrace) and sees
+// every directory-incoming message as it is processed; each block's
+// events arrive in the same order as its home directory feeds them to
+// the passive predictors, so replaying the trace reproduces their
+// measurements exactly.
 package trace

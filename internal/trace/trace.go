@@ -40,96 +40,45 @@ func (t *Trace) Blocks() int {
 	return len(seen)
 }
 
-// Clock provides the current simulation time (implemented by sim.Kernel).
-type Clock interface {
-	Now() sim.Cycle
-}
-
-// Recorder captures directory message streams. It satisfies
-// core.Predictor so it can be attached wherever a passive predictor can;
-// all prediction surfaces are inert.
+// Recorder captures the machine-wide directory message stream. Its Record
+// method is a protocol.TraceFunc: installed with System.SetTrace, it is
+// called online for every directory-incoming message, in machine-wide
+// processing order, with the message's processing cycle.
 type Recorder struct {
-	clock Clock
 	trace Trace
 }
 
-// NewRecorder creates a recorder stamping events with the given clock.
-func NewRecorder(clock Clock, workload string, nodes int, seed int64) *Recorder {
-	return &Recorder{
-		clock: clock,
-		trace: Trace{Workload: workload, Nodes: nodes, Seed: seed},
-	}
+// NewRecorder creates a recorder for the given run metadata.
+func NewRecorder(workload string, nodes int, seed int64) *Recorder {
+	return &Recorder{trace: Trace{Workload: workload, Nodes: nodes, Seed: seed}}
 }
 
 // Trace returns the captured trace (shared, not copied).
 func (r *Recorder) Trace() *Trace { return &r.trace }
 
-// Observe implements core.Predictor by recording the message.
-func (r *Recorder) Observe(addr mem.BlockAddr, obs core.Observation) core.Outcome {
-	var cycle int64
-	if r.clock != nil {
-		cycle = int64(r.clock.Now())
-	}
+// Record appends one message to the trace.
+func (r *Recorder) Record(cycle sim.Cycle, addr mem.BlockAddr, t core.MsgType, node mem.NodeID) {
 	r.trace.Events = append(r.trace.Events, Event{
-		Cycle: cycle,
+		Cycle: int64(cycle),
 		Addr:  uint64(addr),
-		Type:  uint8(obs.Type),
-		Node:  uint16(obs.Node),
+		Type:  uint8(t),
+		Node:  uint16(node),
 	})
-	return core.Outcome{}
 }
 
-// Name implements core.Predictor.
-func (r *Recorder) Name() string { return "Recorder" }
-
-// HistoryDepth implements core.Predictor.
-func (r *Recorder) HistoryDepth() int { return 0 }
-
-// Stats implements core.Predictor.
-func (r *Recorder) Stats() core.Stats { return core.Stats{} }
-
-// Census implements core.Predictor.
-func (r *Recorder) Census() core.Census { return core.Census{} }
-
-// PredictReaders implements core.Predictor (inert).
-func (r *Recorder) PredictReaders(mem.BlockAddr) (core.ReadPrediction, bool) {
-	return core.ReadPrediction{}, false
-}
-
-// PredictNext implements core.Predictor (inert).
-func (r *Recorder) PredictNext(mem.BlockAddr) (core.Symbol, bool) {
-	return core.Symbol{}, false
-}
-
-// PredictsUpgradeBy implements core.Predictor (inert).
-func (r *Recorder) PredictsUpgradeBy(mem.BlockAddr, mem.NodeID) bool { return false }
-
-// SWIAllowed implements core.Predictor (inert).
-func (r *Recorder) SWIAllowed(mem.BlockAddr) bool { return false }
-
-// SWIGuard implements core.Predictor (inert).
-func (r *Recorder) SWIGuard(mem.BlockAddr) core.SWIGuard { return core.SWIGuard{} }
-
-// AssumeReaders implements core.Predictor (inert).
-func (r *Recorder) AssumeReaders(mem.BlockAddr, mem.ReaderVec) {}
-
-// RetractReader implements core.Predictor (inert).
-func (r *Recorder) RetractReader(mem.BlockAddr, mem.NodeID) {}
-
-// Reset implements core.Predictor.
+// Reset discards the captured events, keeping the metadata.
 func (r *Recorder) Reset() { r.trace.Events = nil }
 
-var _ core.Predictor = (*Recorder)(nil)
-
 // Replay feeds the trace's events, in captured order, to each predictor
-// and returns nothing; inspect the predictors' Stats/Census afterwards.
-// Captured order preserves per-block arrival order, which is all the
-// (per-block) two-level predictors depend on.
+// in turn — every event through the first predictor, then every event
+// through the next, so one predictor's tables stay cache-hot for the
+// whole trace — and returns nothing; inspect the predictors' Stats/Census
+// afterwards. Captured order preserves per-block arrival order, which is
+// all the (per-block) two-level predictors depend on.
 func Replay(t *Trace, predictors ...core.Predictor) {
-	for _, e := range t.Events {
-		obs := core.Observation{Type: core.MsgType(e.Type), Node: mem.NodeID(e.Node)}
-		for _, p := range predictors {
-			p.Observe(mem.BlockAddr(e.Addr), obs)
+	for _, p := range predictors {
+		for _, e := range t.Events {
+			p.Observe(mem.BlockAddr(e.Addr), core.Observation{Type: core.MsgType(e.Type), Node: mem.NodeID(e.Node)})
 		}
 	}
 }

@@ -66,10 +66,10 @@ func TestBlocksCount(t *testing.T) {
 
 func TestRecorderCaptures(t *testing.T) {
 	k := sim.NewKernel()
-	r := NewRecorder(k, "wl", 4, 9)
+	r := NewRecorder("wl", 4, 9)
 	addr := mem.MakeAddr(1, 5)
 	k.At(100, func() {
-		r.Observe(addr, core.Observation{Type: core.MsgRead, Node: 2})
+		r.Record(k.Now(), addr, core.MsgRead, 2)
 	})
 	k.Run(0)
 	tr := r.Trace()
@@ -89,23 +89,22 @@ func TestRecorderCaptures(t *testing.T) {
 	}
 }
 
+// TestRecorderIsInertPredictor: the recorder is a trace hook, not a
+// predictor, so it cannot be attached where the protocol consults or
+// scores predictions; recording only appends.
 func TestRecorderIsInertPredictor(t *testing.T) {
-	r := NewRecorder(nil, "", 2, 0)
-	addr := mem.MakeAddr(0, 0)
-	if out := r.Observe(addr, core.Observation{Type: core.MsgRead, Node: 1}); out.Tracked {
-		t.Fatal("recorder must not score")
+	r := NewRecorder("", 2, 0)
+	if _, ok := any(r).(core.Predictor); ok {
+		t.Fatal("recorder must not satisfy core.Predictor")
 	}
-	if _, ok := r.PredictReaders(addr); ok {
-		t.Fatal("recorder must not predict")
+	r.Record(7, mem.MakeAddr(0, 0), core.MsgRead, 1)
+	r.Record(9, mem.MakeAddr(1, 0), core.MsgWrite, 0)
+	want := []Event{
+		{Cycle: 7, Addr: uint64(mem.MakeAddr(0, 0)), Type: uint8(core.MsgRead), Node: 1},
+		{Cycle: 9, Addr: uint64(mem.MakeAddr(1, 0)), Type: uint8(core.MsgWrite), Node: 0},
 	}
-	if _, ok := r.PredictNext(addr); ok {
-		t.Fatal("recorder must not predict")
-	}
-	if r.PredictsUpgradeBy(addr, 1) || r.SWIAllowed(addr) {
-		t.Fatal("recorder speculation surface must be inert")
-	}
-	if s := r.Stats(); s != (core.Stats{}) {
-		t.Fatal("recorder has no stats")
+	if !reflect.DeepEqual(r.Trace().Events, want) {
+		t.Fatalf("events = %+v, want %+v", r.Trace().Events, want)
 	}
 }
 

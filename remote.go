@@ -150,6 +150,13 @@ func (rs remoteSpec) validate() error {
 			}
 		}
 	}
+	if rs.Study == "scaling" {
+		for _, n := range rs.NodeCounts {
+			if err := validNodes(n); err != nil {
+				return err
+			}
+		}
+	}
 	if rs.Study == "seeds" && len(rs.Seeds) == 0 {
 		return fmt.Errorf("specdsm: seeds study spec has no seeds")
 	}

@@ -26,6 +26,8 @@ func TestNewRemoteRunnerRefusesBadSpecs(t *testing.T) {
 		{"bad fault spec", func(rs *remoteSpec) { rs.FaultSpec = "transient=lots" }, "fault"},
 		{"empty node axis", func(rs *remoteSpec) { rs.Study = "scaling" }, "empty axis"},
 		{"zero node count", func(rs *remoteSpec) { rs.Study, rs.NodeCounts = "scaling", []int{16, 0} }, "non-positive axis entry 0"},
+		{"node count too large", func(rs *remoteSpec) { rs.Study, rs.NodeCounts = "scaling", []int{16, 5000} }, "invalid node count 5000"},
+		{"one-node machine", func(rs *remoteSpec) { rs.Study, rs.NodeCounts = "scaling", []int{1} }, "invalid node count 1"},
 		{"negative flight", func(rs *remoteSpec) {
 			rs.Study, rs.RTLApp, rs.RTLFlights = "rtl", "em3d", []int{20, -5}
 		}, "non-positive axis entry -5"},

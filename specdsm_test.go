@@ -1,6 +1,7 @@
 package specdsm_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -230,6 +231,31 @@ func TestValidateConfig(t *testing.T) {
 	}
 	if err := (specdsm.StudyConfig{Depths: []int{0}}).Validate(); err == nil {
 		t.Fatal("expected bad-depth error")
+	}
+}
+
+// TestValidateRefusesBadNodesAndScale: machine sizes the workload
+// generators cannot build and non-finite or non-positive scales are
+// refused with a reason, before any job runs.
+func TestValidateRefusesBadNodesAndScale(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  specdsm.StudyConfig
+		want string
+	}{
+		{"negative nodes", specdsm.StudyConfig{Nodes: -3}, "invalid node count -3"},
+		{"too many nodes", specdsm.StudyConfig{Nodes: 5000}, "invalid node count 5000"},
+		{"NaN scale", specdsm.StudyConfig{Scale: math.NaN()}, "invalid scale NaN"},
+		{"negative scale", specdsm.StudyConfig{Scale: -1}, "invalid scale -1"},
+		{"infinite scale", specdsm.StudyConfig{Scale: math.Inf(1)}, "invalid scale +Inf"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.cfg.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate() = %v, want a refusal mentioning %q", err, tc.want)
+			}
+		})
 	}
 }
 

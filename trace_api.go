@@ -21,8 +21,10 @@ type TraceSummary struct {
 
 // CaptureTrace runs the workload and writes the coherence message streams
 // observed at the directories to w as JSON, returning the run result and
-// a trace summary. The captured stream is exactly what a passive
-// predictor attached to the run would have observed, so offline
+// a trace summary. The events come from the directories' online trace
+// hook, in machine-wide processing order, each stamped with its
+// processing cycle. Every block's events are in the order that block's
+// home directory logged them for its passive observers, so offline
 // evaluation (EvaluateTrace) reproduces online predictor measurements
 // bit-for-bit.
 func CaptureTrace(wl Workload, opts MachineOptions, out io.Writer) (*RunResult, TraceSummary, error) {
@@ -34,8 +36,8 @@ func CaptureTrace(wl Workload, opts MachineOptions, out io.Writer) (*RunResult, 
 		return nil, TraceSummary{}, err
 	}
 	m := machine.New(cfg)
-	rec := trace.NewRecorder(m.Kernel(), wl.Name, wl.Nodes, 0)
-	m.AttachObserver(rec)
+	rec := trace.NewRecorder(wl.Name, wl.Nodes, 0)
+	m.System().SetTrace(rec.Record)
 	res, err := m.Run(wl.programs)
 	if err != nil {
 		return nil, TraceSummary{}, fmt.Errorf("specdsm: %s/%s: %w", wl.Name, mode, err)
