@@ -17,8 +17,8 @@ BENCH_OUT ?= BENCH_PR10.json
 # harness (kill + corrupt + salvage-resume under injected faults), the
 # distributed chaos harness (a real sweepd fleet with one worker
 # SIGKILLed mid-batch and another injecting connection faults), a
-# short fuzz leg over the reader-vector, pattern-key, and checkpoint
-# decoders, a one-iteration benchmark smoke run so the benches cannot
+# short fuzz leg over the reader-vector, pattern-key, checkpoint, and
+# wire-frame decoders, a one-iteration benchmark smoke run so the benches cannot
 # silently rot, and the bench-history regression check over the
 # committed BENCH_PR<N>.json records.
 check: fmt vet build race determinism chaos chaos-remote fuzzsmoke benchsmoke bench-check
@@ -43,8 +43,9 @@ chaos:
 
 # fuzzsmoke runs the differential fuzz targets briefly on every gate:
 # the reader-vector ops against the map-backed oracle, the packed
-# pattern-key encoding against its bijection/table oracle, and the
-# checkpoint decoder's strict-vs-salvage verdict consistency. Five
+# pattern-key encoding against its bijection/table oracle, the
+# checkpoint decoder's strict-vs-salvage verdict consistency, and the
+# sweepd wire framing (no panic on arbitrary bytes, exact round trip). Five
 # seconds each is a smoke test, not a campaign — run `go test -fuzz`
 # with a longer -fuzztime for real exploration; the corpus persists
 # under the build cache either way.
@@ -52,6 +53,7 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReaderVec -fuzztime=5s ./internal/mem
 	$(GO) test -run='^$$' -fuzz=FuzzPatKeyPack -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointFrames -fuzztime=5s ./internal/sweep
+	$(GO) test -run='^$$' -fuzz=FuzzRemoteFrame -fuzztime=5s ./internal/remote
 
 # loc prints the number of non-test Go lines in the module, outside the
 # separate perfbench/ module and the benchmark's .bench_build/ cache —

@@ -704,8 +704,11 @@ func (c StudyConfig) Validate() error {
 	if err := validNodes(cc.Nodes); err != nil {
 		return err
 	}
-	if math.IsNaN(cc.Scale) || math.IsInf(cc.Scale, 0) || cc.Scale <= 0 {
-		return fmt.Errorf("specdsm: invalid scale %v (want a finite value > 0)", cc.Scale)
+	if err := validScale(cc.Scale); err != nil {
+		return err
+	}
+	if cc.Iterations < 0 {
+		return fmt.Errorf("specdsm: negative iteration count %d", cc.Iterations)
 	}
 	for _, app := range cc.Apps {
 		if _, ok := appExists(app); !ok {
@@ -738,6 +741,15 @@ func (c StudyConfig) Validate() error {
 func validNodes(n int) error {
 	if n < 2 || n > mem.MaxNodes {
 		return fmt.Errorf("specdsm: invalid node count %d (supported range [2,%d])", n, mem.MaxNodes)
+	}
+	return nil
+}
+
+// validScale refuses a data-set scale the generators cannot size inputs
+// from.
+func validScale(s float64) error {
+	if math.IsNaN(s) || math.IsInf(s, 0) || s <= 0 {
+		return fmt.Errorf("specdsm: invalid scale %v (want a finite value > 0)", s)
 	}
 	return nil
 }

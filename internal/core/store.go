@@ -279,18 +279,19 @@ const patTableInitial = 512
 
 // hash mixes the key's words into one well-spread value with
 // multiply-xorshift rounds (splitmix64's building block) rather than a
-// sum: histories differ in few bits — often one symbol slot.
+// sum: histories differ in few bits — often one symbol slot. Each word
+// gets its own round, addr included: folding two raw words into one
+// round would let (addr, tn) and (addr^x, tn^x) collide on hash and tag.
 func (t *patTable) hash(pk *patternKey) uint64 {
-	h := uint64(pk.addr) ^ 0x9e3779b97f4a7c15
-	h = (h ^ pk.key.tn) * 0xbf58476d1ce4e5b9
+	h := (uint64(pk.addr) ^ 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
 	h ^= h >> 29
+	h = (h ^ pk.key.tn) * 0x94d049bb133111eb
+	h ^= h >> 32
 	if t.vecKeys {
-		h = (h ^ pk.key.vec[0]) * 0x94d049bb133111eb
-		h ^= h >> 32
-		h = (h ^ pk.key.vec[1]) * 0xff51afd7ed558ccd
-		h ^= h >> 29
-		h = (h ^ pk.key.vec[2]) * 0xc4ceb9fe1a85ec53
-		h ^= h >> 32
+		for _, w := range pk.key.vec {
+			h = (h ^ w) * 0xff51afd7ed558ccd
+			h ^= h >> 29
+		}
 	}
 	h = (h ^ h>>31) * 0xbf58476d1ce4e5b9
 	h ^= h >> 31

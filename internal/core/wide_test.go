@@ -187,3 +187,27 @@ func FuzzPatKeyPack(f *testing.F) {
 		}
 	})
 }
+
+// TestPatTableHashSeparatesKeys pins the two systematic collisions an
+// earlier hash had: folding the raw address and tn word into one round
+// made (addr, tn) and (addr^x, tn^x) hash identically, and the newest
+// slot of a depth-4 VMSP history (vec[3]) was never mixed in.
+func TestPatTableHashSeparatesKeys(t *testing.T) {
+	table := patTable{vecKeys: true}
+	base := patternKey{addr: mem.MakeAddr(3, 4), key: patKey{tn: 0x0123_0042, vec: [MaxDepth]uint64{7, 9, 11, 13}}}
+	for _, x := range []uint64{1, 0x10, 0xffff, 1 << 40} {
+		other := base
+		other.addr ^= mem.BlockAddr(x)
+		other.key.tn ^= x
+		if table.hash(&base) == table.hash(&other) {
+			t.Errorf("(addr, tn) and (addr^%#x, tn^%#x) hash equally", x, x)
+		}
+	}
+	for i := range base.key.vec {
+		other := base
+		other.key.vec[i]++
+		if table.hash(&base) == table.hash(&other) {
+			t.Errorf("keys differing only in vec[%d] hash equally", i)
+		}
+	}
+}

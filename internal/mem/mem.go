@@ -3,7 +3,9 @@ package mem
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
+	"unsafe"
 )
 
 // NodeID identifies one node of the machine. Nodes are numbered 0..N-1.
@@ -96,10 +98,13 @@ func (k ReqKind) String() string {
 //     N ≤ InlineNodes nodes live entirely in this word — exactly the old
 //     single-uint64 layout — so every fast path stays one word wide and
 //     allocation-free.
-//   - ext, when non-nil, holds nodes InlineNodes..MaxNodes-1 as a
-//     two-level bitmap: leaf[g-1] is the word for node group g (nodes
-//     [64g, 64g+64)), and sum bit g is set exactly when leaf[g-1] is
-//     non-zero, so scans skip empty groups with one summary-word test.
+//   - ext, when non-nil, holds nodes InlineNodes..MaxNodes-1 as a packed
+//     two-level bitmap: sum bit g is set exactly when node group g (nodes
+//     [64g, 64g+64)) has a member, and only those groups have a leaf
+//     word, stored in ascending group order right after sum in the same
+//     allocation. Group g's word is leaf number popcount(sum & (1<<g - 1)),
+//     so a set with members in k groups costs 8(k+1) bytes whatever the
+//     machine size, and scans skip empty groups by construction.
 //
 // Invariants:
 //
@@ -110,7 +115,8 @@ func (k ReqKind) String() string {
 //     mutating operation clones before writing, so ReaderVec keeps value
 //     semantics. A *vecExt reachable from more than one vector is never
 //     written through. Read-only operations, Next included, never clone.
-//  3. sum bit g ⟺ leaf[g-1] != 0, and ext != nil ⟹ sum != 0.
+//  3. Every leaf word is non-zero, ext != nil ⟹ sum != 0, and sum bit 0
+//     is never set (group 0 is lo). The leaf count is popcount(sum).
 //
 // ReaderVec is deliberately non-comparable (== would compare extension
 // pointers, not contents); use Equal.
@@ -120,11 +126,80 @@ type ReaderVec struct {
 	ext *vecExt
 }
 
-// vecExt is the extension tier: a summary word over up to InlineNodes-1
-// leaf words (group 0 is the inline lo word and has no leaf here).
+// vecExt is the header of the extension tier. Its popcount(sum) leaf
+// words follow it in the same pointer-free allocation (see newExt): Go
+// has no safe variable-length struct, and a slice field would add a
+// 24-byte header and a pointer for the collector to trace to every
+// clone. The length is never stored, so it cannot disagree with sum.
 type vecExt struct {
-	sum  uint64
-	leaf [InlineNodes - 1]uint64
+	// sum is fixed when the extension is allocated: it sizes the object,
+	// so only the leaf words of a fresh extension are ever written.
+	sum uint64
+}
+
+// newExt allocates a zero-leaved extension with summary sum (non-zero).
+func newExt(sum uint64) *vecExt {
+	buf := make([]uint64, 1+bits.OnesCount64(sum))
+	buf[0] = sum
+	return (*vecExt)(unsafe.Pointer(&buf[0]))
+}
+
+// leaves returns the packed leaf words, in ascending group order: the
+// rest of newExt's allocation. The slice aliases the extension, so only
+// a fresh, not yet shared extension may be written through it.
+func (e *vecExt) leaves() []uint64 {
+	first := (*uint64)(unsafe.Add(unsafe.Pointer(e), unsafe.Sizeof(*e)))
+	return unsafe.Slice(first, bits.OnesCount64(e.sum))
+}
+
+// leaf returns group g's word, 0 for an empty group or a nil extension.
+func (e *vecExt) leaf(g uint) uint64 {
+	if e == nil || e.sum&(1<<g) == 0 {
+		return 0
+	}
+	return e.leaves()[bits.OnesCount64(e.sum&(1<<g-1))]
+}
+
+// withLeaf returns a copy of e (nil for the empty extension) with group
+// g's word replaced by w, pruning the group when w is 0 and the whole
+// extension when no group is left.
+func (e *vecExt) withLeaf(g uint, w uint64) *vecExt {
+	var sum uint64
+	var old []uint64
+	if e != nil {
+		sum, old = e.sum, e.leaves()
+	}
+	i := bits.OnesCount64(sum & (1<<g - 1))
+	rest := i
+	if sum&(1<<g) != 0 {
+		rest++
+	}
+	if w == 0 {
+		sum &^= 1 << g
+	} else {
+		sum |= 1 << g
+	}
+	if sum == 0 {
+		return nil
+	}
+	n := newExt(sum)
+	out := n.leaves()
+	copy(out, old[:i])
+	if w != 0 {
+		out[i] = w
+		i++
+	}
+	copy(out[i:], old[rest:])
+	return n
+}
+
+// merge ORs x's leaf words into e's, whose summary covers x's.
+func (e *vecExt) merge(x *vecExt) {
+	out, s := e.leaves(), x.sum
+	for _, w := range x.leaves() {
+		out[bits.OnesCount64(e.sum&(s&-s-1))] |= w
+		s &= s - 1
+	}
 }
 
 // VecOf builds a vector containing the given nodes.
@@ -161,17 +236,10 @@ func (v ReaderVec) With(n NodeID) ReaderVec {
 	if n >= MaxNodes {
 		panic(fmt.Sprintf("mem: node %d out of range", n))
 	}
-	g, b := uint(n)/InlineNodes, uint(n)%InlineNodes
-	if v.ext != nil && v.ext.leaf[g-1]&(1<<b) != 0 {
-		return v
+	g, bit := uint(n)/InlineNodes, uint64(1)<<(n%InlineNodes)
+	if w := v.ext.leaf(g); w&bit == 0 {
+		v.ext = v.ext.withLeaf(g, w|bit)
 	}
-	e := &vecExt{}
-	if v.ext != nil {
-		*e = *v.ext
-	}
-	e.leaf[g-1] |= 1 << b
-	e.sum |= 1 << g
-	v.ext = e
 	return v
 }
 
@@ -183,22 +251,12 @@ func (v ReaderVec) Without(n NodeID) ReaderVec {
 		v.lo &^= 1 << n
 		return v
 	}
-	if n >= MaxNodes || v.ext == nil {
+	if n >= MaxNodes {
 		return v
 	}
-	g, b := uint(n)/InlineNodes, uint(n)%InlineNodes
-	if v.ext.leaf[g-1]&(1<<b) == 0 {
-		return v
-	}
-	e := *v.ext
-	e.leaf[g-1] &^= 1 << b
-	if e.leaf[g-1] == 0 {
-		e.sum &^= 1 << g
-	}
-	if e.sum == 0 {
-		v.ext = nil
-	} else {
-		v.ext = &e
+	g, bit := uint(n)/InlineNodes, uint64(1)<<(n%InlineNodes)
+	if w := v.ext.leaf(g); w&bit != 0 {
+		v.ext = v.ext.withLeaf(g, w&^bit)
 	}
 	return v
 }
@@ -209,18 +267,18 @@ func (v ReaderVec) Has(n NodeID) bool {
 	if n < InlineNodes {
 		return v.lo&(1<<n) != 0
 	}
-	if n >= MaxNodes || v.ext == nil {
+	if n >= MaxNodes {
 		return false
 	}
-	return v.ext.leaf[n/InlineNodes-1]&(1<<(n%InlineNodes)) != 0
+	return v.ext.leaf(uint(n)/InlineNodes)&(1<<(n%InlineNodes)) != 0
 }
 
 // Empty reports whether no nodes are set.
 func (v ReaderVec) Empty() bool { return v.lo == 0 && v.ext == nil }
 
-// Equal reports set equality. Invariant 1 makes this structural: a nil
-// extension on one side with a non-nil on the other cannot hide equal
-// contents.
+// Equal reports set equality. Invariants 1 and 3 make this structural: a
+// nil extension on one side with a non-nil on the other cannot hide equal
+// contents, and equal summaries mean equally long leaf lists.
 func (v ReaderVec) Equal(o ReaderVec) bool {
 	if v.lo != o.lo {
 		return false
@@ -228,18 +286,18 @@ func (v ReaderVec) Equal(o ReaderVec) bool {
 	if v.ext == o.ext {
 		return true
 	}
-	if v.ext == nil || o.ext == nil {
+	if v.ext == nil || o.ext == nil || v.ext.sum != o.ext.sum {
 		return false
 	}
-	return *v.ext == *o.ext
+	return slices.Equal(v.ext.leaves(), o.ext.leaves())
 }
 
 // Count returns the number of nodes in the vector.
 func (v ReaderVec) Count() int {
 	c := bits.OnesCount64(v.lo)
 	if v.ext != nil {
-		for s := v.ext.sum; s != 0; s &= s - 1 {
-			c += bits.OnesCount64(v.ext.leaf[bits.TrailingZeros64(s)-1])
+		for _, w := range v.ext.leaves() {
+			c += bits.OnesCount64(w)
 		}
 	}
 	return c
@@ -260,15 +318,24 @@ func (v ReaderVec) Next(n NodeID) NodeID {
 		return MaxNodes
 	}
 	g, b := uint(n)/InlineNodes, uint(n)%InlineNodes
-	if w := v.ext.leaf[g-1] & (^uint64(0) << b); w != 0 {
-		return NodeID(g*InlineNodes + uint(bits.TrailingZeros64(w)))
-	}
-	s := v.ext.sum & (^uint64(0) << (g + 1))
+	s := v.ext.sum & (^uint64(0) << g)
 	if s == 0 {
 		return MaxNodes
 	}
-	g = uint(bits.TrailingZeros64(s))
-	return NodeID(g*InlineNodes + uint(bits.TrailingZeros64(v.ext.leaf[g-1])))
+	leaves := v.ext.leaves()
+	i := bits.OnesCount64(v.ext.sum &^ s)
+	h := uint(bits.TrailingZeros64(s))
+	w := leaves[i]
+	if h == g {
+		// n's own group: only members at or above bit b count.
+		if w &= ^uint64(0) << b; w == 0 {
+			if s &= s - 1; s == 0 {
+				return MaxNodes
+			}
+			h, w = uint(bits.TrailingZeros64(s)), leaves[i+1]
+		}
+	}
+	return NodeID(h*InlineNodes + uint(bits.TrailingZeros64(w)))
 }
 
 // Union returns the set union v ∪ o. When only one side has an extension
@@ -282,17 +349,15 @@ func (v ReaderVec) Union(o ReaderVec) ReaderVec {
 		v.ext = o.ext
 		return v
 	}
-	e := *v.ext
-	e.sum |= o.ext.sum
-	for s := o.ext.sum; s != 0; s &= s - 1 {
-		g := bits.TrailingZeros64(s)
-		e.leaf[g-1] |= o.ext.leaf[g-1]
-	}
-	v.ext = &e
+	e := newExt(v.ext.sum | o.ext.sum)
+	e.merge(v.ext)
+	e.merge(o.ext)
+	v.ext = e
 	return v
 }
 
-// AndNot returns the set difference v \ o.
+// AndNot returns the set difference v \ o. When o removes no member of
+// v's extension, the extension is shared, not copied.
 func (v ReaderVec) AndNot(o ReaderVec) ReaderVec {
 	v.lo &^= o.lo
 	if v.ext == nil || o.ext == nil {
@@ -302,18 +367,34 @@ func (v ReaderVec) AndNot(o ReaderVec) ReaderVec {
 		v.ext = nil
 		return v
 	}
-	e := vecExt{}
-	for s := v.ext.sum; s != 0; s &= s - 1 {
-		g := bits.TrailingZeros64(s)
-		if w := v.ext.leaf[g-1] &^ o.ext.leaf[g-1]; w != 0 {
-			e.leaf[g-1] = w
-			e.sum |= 1 << uint(g)
+	// Difference into a stack buffer first: the surviving groups, and so
+	// the allocation's size, are known only at the end.
+	var buf [InlineNodes - 1]uint64
+	var sum uint64
+	n, changed := 0, false
+	aw, bw := v.ext.leaves(), o.ext.leaves()
+	for k, s := 0, v.ext.sum; s != 0; k, s = k+1, s&(s-1) {
+		g := s & -s
+		w := aw[k]
+		if o.ext.sum&g != 0 {
+			m := bw[bits.OnesCount64(o.ext.sum&(g-1))]
+			changed = changed || w&m != 0
+			w &^= m
+		}
+		if w != 0 {
+			buf[n] = w
+			n++
+			sum |= g
 		}
 	}
-	if e.sum == 0 {
+	switch {
+	case !changed:
+	case sum == 0:
 		v.ext = nil
-	} else {
-		v.ext = &e
+	default:
+		e := newExt(sum)
+		copy(e.leaves(), buf[:n])
+		v.ext = e
 	}
 	return v
 }
@@ -325,9 +406,9 @@ func (v ReaderVec) Hash() uint64 {
 	h := (v.lo ^ 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
 	h ^= h >> 29
 	if v.ext != nil {
-		for s := v.ext.sum; s != 0; s &= s - 1 {
-			g := bits.TrailingZeros64(s)
-			h = (h ^ uint64(g) ^ v.ext.leaf[g-1]) * 0x94d049bb133111eb
+		leaves := v.ext.leaves()
+		for k, s := 0, v.ext.sum; s != 0; k, s = k+1, s&(s-1) {
+			h = (h ^ uint64(bits.TrailingZeros64(s)) ^ leaves[k]) * 0x94d049bb133111eb
 			h ^= h >> 32
 		}
 	}

@@ -2,10 +2,13 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // refReaderSet is the map-backed oracle for ReaderVec: every operation is
@@ -160,8 +163,9 @@ func checkAgainstRef(t *testing.T, tag string, v ReaderVec, ref refReaderSet, wi
 }
 
 // checkInvariants asserts the two-tier representation invariants that the
-// package documents: the extension pointer is pruned when empty, and the
-// summary word mirrors leaf occupancy exactly.
+// package documents: the extension pointer is pruned when empty, every
+// packed leaf word is non-zero (so the summary, whose popcount sizes the
+// leaf list, mirrors leaf occupancy exactly), and summary bit 0 is clear.
 func checkInvariants(t *testing.T, tag string, v ReaderVec) {
 	t.Helper()
 	if v.ext == nil {
@@ -170,11 +174,14 @@ func checkInvariants(t *testing.T, tag string, v ReaderVec) {
 	if v.ext.sum == 0 {
 		t.Fatalf("%s: non-nil ext with empty summary (normalization broken)", tag)
 	}
-	for g := 1; g < InlineNodes; g++ {
-		leafSet := v.ext.leaf[g-1] != 0
-		sumSet := v.ext.sum&(1<<uint(g)) != 0
-		if leafSet != sumSet {
-			t.Fatalf("%s: sum bit %d = %v but leaf occupancy = %v", tag, g, sumSet, leafSet)
+	leaves := v.ext.leaves()
+	for k, s := 0, v.ext.sum; s != 0; k, s = k+1, s&(s-1) {
+		g := bits.TrailingZeros64(s)
+		if leaves[k] == 0 {
+			t.Fatalf("%s: sum bit %d set but its leaf word is empty", tag, g)
+		}
+		if got := v.ext.leaf(uint(g)); got != leaves[k] {
+			t.Fatalf("%s: leaf(%d) = %#x, want packed word %d = %#x", tag, g, got, k, leaves[k])
 		}
 	}
 	if v.ext.sum&1 != 0 {
@@ -284,6 +291,136 @@ func TestReaderVecHashEqualConsistency(t *testing.T) {
 	}
 }
 
+// TestReaderVecEqualAcrossShapes: sets reached along paths that pass
+// through different extension shapes (extra groups opened and pruned
+// again, groups merged in by Union or emptied by AndNot) compare Equal
+// and hash the same; sets whose packed leaf words coincide but sit in
+// different groups do not compare Equal.
+func TestReaderVecEqualAcrossShapes(t *testing.T) {
+	equal := []struct {
+		name string
+		a, b ReaderVec
+	}{
+		{"pruned top group", VecOf(70), VecOf(70, 4000).Without(4000)},
+		{"pruned bottom group", VecOf(4000), VecOf(70, 4000).Without(70)},
+		{"pruned middle group", VecOf(70, 4000), VecOf(70, 2000, 4000).Without(2000)},
+		{"union order", VecOf(70, 200, 3000), VecOf(3000).Union(VecOf(200)).Union(VecOf(70))},
+		{"andnot empties groups", VecOf(3, 130, 4095),
+			VecOf(3, 64, 130, 2000, 4095).AndNot(VecOf(64, 2000, 2001))},
+		{"andnot keeps shape", VecOf(70, 130), VecOf(70, 130).AndNot(VecOf(71, 4000))},
+		{"andnot to inline", VecOf(5), VecOf(5, 64, 4095).AndNot(VecOf(64, 4095))},
+		{"with after prune", VecOf(64), VecOf(4095).Without(4095).With(64)},
+	}
+	for _, tc := range equal {
+		checkInvariants(t, tc.name+" a", tc.a)
+		checkInvariants(t, tc.name+" b", tc.b)
+		if !tc.a.Equal(tc.b) || !tc.b.Equal(tc.a) {
+			t.Errorf("%s: %v and %v compare unequal", tc.name, tc.a, tc.b)
+		}
+		if tc.a.Hash() != tc.b.Hash() {
+			t.Errorf("%s: %v and %v hash differently", tc.name, tc.a, tc.b)
+		}
+		if tc.a.String() != tc.b.String() {
+			t.Errorf("%s: String %q vs %q", tc.name, tc.a, tc.b)
+		}
+	}
+	unequal := []struct {
+		name string
+		a, b ReaderVec
+	}{
+		{"same bit, next group", VecOf(70), VecOf(134)},
+		{"same bit, far group", VecOf(70), VecOf(70 + 62*InlineNodes)},
+		{"same words, shifted groups", VecOf(65, 130), VecOf(130, 195)},
+		{"extra group", VecOf(70), VecOf(70, 4000)},
+		{"inline vs wide", VecOf(6), VecOf(70)},
+	}
+	for _, tc := range unequal {
+		if tc.a.Equal(tc.b) || tc.b.Equal(tc.a) {
+			t.Errorf("%s: %v and %v compare equal", tc.name, tc.a, tc.b)
+		}
+	}
+}
+
+// TestReaderVecWideCloneBytes guards the extension's sizing: a wide
+// mutation at 256 nodes is one allocation sized to the groups in use
+// (at most a summary and three leaf words), not a block sized for
+// MaxNodes, and the vector itself stays two words, so the per-block
+// records that embed it do not grow.
+func TestReaderVecWideCloneBytes(t *testing.T) {
+	if size := unsafe.Sizeof(ReaderVec{}); size != 16 {
+		t.Fatalf("ReaderVec is %d bytes, want 16", size)
+	}
+	v := VecOf(1, 65, 130, 250)
+	o := VecOf(2, 66, 130, 200)
+	disjoint := VecOf(1, 66, 200)
+	ops := []struct {
+		name   string
+		fn     func() ReaderVec
+		allocs float64
+	}{
+		{"With", func() ReaderVec { return v.With(251) }, 1},
+		{"Without", func() ReaderVec { return v.Without(130) }, 1},
+		{"Union", func() ReaderVec { return v.Union(o) }, 1},
+		{"AndNot", func() ReaderVec { return v.AndNot(o) }, 1},
+		// Removing no wide member shares v's extension.
+		{"AndNot disjoint", func() ReaderVec { return v.AndNot(disjoint) }, 0},
+	}
+	const runs = 1000
+	for _, op := range ops {
+		if avg := testing.AllocsPerRun(runs, func() { vecSink = op.fn() }); avg != op.allocs {
+			t.Errorf("%s: %.2f allocations per wide clone, want %v", op.name, avg, op.allocs)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			vecSink = op.fn()
+		}
+		runtime.ReadMemStats(&after)
+		if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > 64 {
+			t.Errorf("%s: %d bytes per wide clone at 256 nodes, want ≤ 64", op.name, b)
+		}
+	}
+}
+
+// vecSink keeps benchmarked and allocation-counted results live.
+var vecSink ReaderVec
+
+// BenchmarkReaderVecWide measures the wide copy-on-write mutations on a
+// 256-node and a 4096-node machine: a 32-member set spread evenly over
+// the width, mutated by one node, unioned with and differenced by a
+// disjoint 16-member set.
+func BenchmarkReaderVecWide(b *testing.B) {
+	for _, width := range []int{256, MaxNodes} {
+		var v, o ReaderVec
+		for i := 0; i < 32; i++ {
+			v = v.With(NodeID(InlineNodes + 1 + i*(width-InlineNodes-2)/32))
+		}
+		for i := 0; i < 16; i++ {
+			o = o.With(NodeID(InlineNodes + 3 + i*(width-InlineNodes-4)/16))
+		}
+		fresh := NodeID(width - 1)
+		diff := v.Union(o)
+		b.Run(fmt.Sprintf("With/n%d", width), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				vecSink = v.With(fresh)
+			}
+		})
+		b.Run(fmt.Sprintf("Union/n%d", width), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				vecSink = v.Union(o)
+			}
+		})
+		b.Run(fmt.Sprintf("AndNot/n%d", width), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				vecSink = diff.AndNot(o)
+			}
+		})
+	}
+}
+
 // TestReaderVecBoundary pins the out-of-range contract at the exact edge:
 // n = MaxNodes-1 is accepted, n = MaxNodes panics (the silent-drop
 // footgun the old API had), and the tolerant read-side ops stay safe.
@@ -351,6 +488,15 @@ func TestReaderVecLowWord(t *testing.T) {
 func FuzzReaderVec(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x42, 0xff, 0x10})
 	f.Add([]byte{0x80, 0x81, 0x02, 0x90, 0x41, 0x03})
+	// Members spread over 64…4095: inserts that open groups below,
+	// between and above existing ones, then a Union, an AndNot that
+	// empties a middle group, and Withouts down to the inline word.
+	f.Add([]byte{0x00, 0x0f, 0xff, 0x00, 0x00, 0x40, 0x00, 0x07, 0xd0, 0x02, 0x03, 0xe8,
+		0x02, 0x07, 0xd0, 0x03, 0x00, 0x00, 0x04, 0x00, 0x00, 0x05, 0x00, 0x00,
+		0x01, 0x0f, 0xff, 0x01, 0x00, 0x40, 0x00, 0x00, 0x3f})
+	f.Add([]byte{0x00, 0x00, 0x82, 0x02, 0x00, 0x41, 0x00, 0x00, 0x41, 0x02, 0x00, 0xc1,
+		0x00, 0x0a, 0x01, 0x03, 0x00, 0x00, 0x02, 0x0a, 0x01, 0x04, 0x00, 0x00,
+		0x01, 0x00, 0x82, 0x05, 0x00, 0x00, 0x01, 0x00, 0x41, 0x01, 0x00, 0xc1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v := ReaderVec{}
 		ref := refReaderSet{}

@@ -152,10 +152,10 @@ func (h *allocHarness) wideInvalCycle() {
 }
 
 // wideInvalCycleAllocs is the pinned allocation count of one
-// wideInvalCycle: one 512-byte sharer-set extension per phase-level set
-// operation — the recalled reader's sharer set, the predictor's open run
-// gaining it, the forward's target set, and its union into the sharers
-// and into the open run. Cloning per target in the invalidation or
+// wideInvalCycle: one sharer-set extension, sized to the groups in use,
+// per phase-level set operation — the recalled reader's sharer set, the
+// predictor's open run gaining it, the forward's target set, and its
+// union into the sharers and into the open run. Cloning per target in the invalidation or
 // forwarding loops, or per ack, would add about 32 allocations per cycle
 // each (the loops that did so cost 132 in all).
 const wideInvalCycleAllocs = 5

@@ -22,6 +22,7 @@ func TestNewRemoteRunnerRefusesBadSpecs(t *testing.T) {
 		{"unknown app", func(rs *remoteSpec) { rs.Apps = []string{"nope"} }, "unknown application"},
 		{"depth 0", func(rs *remoteSpec) { rs.Depths = []int{0} }, "invalid depth 0"},
 		{"negative retries", func(rs *remoteSpec) { rs.Retries = -1 }, "negative retry budget"},
+		{"negative iterations", func(rs *remoteSpec) { rs.Iterations = -3 }, "negative iteration count -3"},
 		{"negative base", func(rs *remoteSpec) { rs.Base = -3 }, "negative resume offset -3"},
 		{"bad fault spec", func(rs *remoteSpec) { rs.FaultSpec = "transient=lots" }, "fault"},
 		{"empty node axis", func(rs *remoteSpec) { rs.Study = "scaling" }, "empty axis"},

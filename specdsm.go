@@ -115,7 +115,10 @@ func AppInfos() []AppInfo {
 	return out
 }
 
-// AppWorkload instantiates one of the seven paper benchmarks.
+// AppWorkload instantiates one of the seven paper benchmarks. Zero
+// parameters select the defaults (16 nodes, the application's iteration
+// count, scale 1, seed 1); a machine size outside [2, mem.MaxNodes], a
+// negative iteration count, or a non-finite or negative scale is refused.
 func AppWorkload(name string, p WorkloadParams) (Workload, error) {
 	app, ok := workload.ByName(name)
 	if !ok {
@@ -129,6 +132,17 @@ func AppWorkload(name string, p WorkloadParams) (Workload, error) {
 	}
 	if wp.Nodes == 0 {
 		wp.Nodes = 16
+	}
+	if err := validNodes(wp.Nodes); err != nil {
+		return Workload{}, err
+	}
+	if wp.Iterations < 0 {
+		return Workload{}, fmt.Errorf("specdsm: negative iteration count %d", wp.Iterations)
+	}
+	if wp.Scale != 0 { // 0 selects the generator's default scale
+		if err := validScale(wp.Scale); err != nil {
+			return Workload{}, err
+		}
 	}
 	return Workload{Name: name, Nodes: wp.Nodes, programs: workload.Programs(app, wp)}, nil
 }

@@ -33,6 +33,37 @@ func TestAppWorkloadErrors(t *testing.T) {
 	}
 }
 
+// TestAppWorkloadRefusesBadParams: parameters the generators cannot
+// build from are refused with a reason instead of panicking or yielding
+// an empty workload.
+func TestAppWorkloadRefusesBadParams(t *testing.T) {
+	cases := []struct {
+		name string
+		p    specdsm.WorkloadParams
+		want string
+	}{
+		{"one-node machine", specdsm.WorkloadParams{Nodes: 1}, "invalid node count 1"},
+		{"too many nodes", specdsm.WorkloadParams{Nodes: 5000}, "invalid node count 5000"},
+		{"negative nodes", specdsm.WorkloadParams{Nodes: -4}, "invalid node count -4"},
+		{"negative iterations", specdsm.WorkloadParams{Iterations: -2}, "negative iteration count -2"},
+		{"NaN scale", specdsm.WorkloadParams{Scale: math.NaN()}, "invalid scale NaN"},
+		{"negative scale", specdsm.WorkloadParams{Scale: -1}, "invalid scale -1"},
+		{"infinite scale", specdsm.WorkloadParams{Scale: math.Inf(1)}, "invalid scale +Inf"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := specdsm.AppWorkload("em3d", tc.p)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("AppWorkload(%+v) = %v, want a refusal mentioning %q", tc.p, err, tc.want)
+			}
+		})
+	}
+	w, err := specdsm.AppWorkload("em3d", specdsm.WorkloadParams{Nodes: 2, Iterations: 1, Scale: 0.1})
+	if err != nil || w.Ops() == 0 {
+		t.Fatalf("smallest valid machine: %d ops, err %v", w.Ops(), err)
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	w, err := specdsm.AppWorkload("em3d", specdsm.WorkloadParams{Nodes: 4, Iterations: 1, Scale: 0.25})
 	if err != nil {
@@ -248,6 +279,7 @@ func TestValidateRefusesBadNodesAndScale(t *testing.T) {
 		{"NaN scale", specdsm.StudyConfig{Scale: math.NaN()}, "invalid scale NaN"},
 		{"negative scale", specdsm.StudyConfig{Scale: -1}, "invalid scale -1"},
 		{"infinite scale", specdsm.StudyConfig{Scale: math.Inf(1)}, "invalid scale +Inf"},
+		{"negative iterations", specdsm.StudyConfig{Iterations: -3}, "negative iteration count -3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
