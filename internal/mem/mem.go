@@ -318,24 +318,15 @@ func (v ReaderVec) Next(n NodeID) NodeID {
 		return MaxNodes
 	}
 	g, b := uint(n)/InlineNodes, uint(n)%InlineNodes
-	s := v.ext.sum & (^uint64(0) << g)
+	if w := v.ext.leaf(g) & (^uint64(0) << b); w != 0 {
+		return NodeID(g*InlineNodes + uint(bits.TrailingZeros64(w)))
+	}
+	s := v.ext.sum & (^uint64(0) << (g + 1))
 	if s == 0 {
 		return MaxNodes
 	}
-	leaves := v.ext.leaves()
-	i := bits.OnesCount64(v.ext.sum &^ s)
-	h := uint(bits.TrailingZeros64(s))
-	w := leaves[i]
-	if h == g {
-		// n's own group: only members at or above bit b count.
-		if w &= ^uint64(0) << b; w == 0 {
-			if s &= s - 1; s == 0 {
-				return MaxNodes
-			}
-			h, w = uint(bits.TrailingZeros64(s)), leaves[i+1]
-		}
-	}
-	return NodeID(h*InlineNodes + uint(bits.TrailingZeros64(w)))
+	g = uint(bits.TrailingZeros64(s))
+	return NodeID(g*InlineNodes + uint(bits.TrailingZeros64(v.ext.leaf(g))))
 }
 
 // Union returns the set union v ∪ o. When only one side has an extension
