@@ -131,8 +131,11 @@ func BenchmarkTable4StorageOverhead(b *testing.B) {
 	b.ReportMetric(vmsp/n, "meanVMSPPTE")
 }
 
+// speculationStudy times the whole study, Base runs included: it drops
+// the Base runs an earlier predictor-study benchmark left in memory.
 func speculationStudy(b *testing.B) []specdsm.AppSpeculation {
 	b.Helper()
+	specdsm.ForgetBaseRuns()
 	study, err := specdsm.SpeculationStudy(benchCfg())
 	if err != nil {
 		b.Fatal(err)

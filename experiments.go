@@ -251,7 +251,8 @@ func (a AppPrediction) Get(kind PredictorKind, depth int) PredictorResult {
 // pool's bounded merge window (and, when configured, the study
 // checkpoint) instead of accumulating in a result slice. The
 // per-application runs execute on a cfg.Parallel-wide worker pool, each
-// worker replaying its jobs through one run arena.
+// worker replaying its jobs through one run arena. Each run is also kept
+// as the Base leg of a later SpeculationStudyStream (see baseMemo).
 func PredictorStudyStream(cfg StudyConfig, emit func(i int, row AppPrediction) error) error {
 	cfg = cfg.withDefaults()
 	n := len(cfg.Apps)
@@ -285,6 +286,7 @@ func predictorJob(cfg StudyConfig) func(context.Context, *machine.Arena, int) (A
 		if err != nil {
 			return AppPrediction{}, err
 		}
+		rememberBase(baseKey{app, cfg.workloadParams(), cfg.DisableChecks}, res)
 		ap := AppPrediction{
 			App:      app,
 			Results:  make(map[PredictorConfig]PredictorResult),
@@ -344,7 +346,9 @@ var specModes = [3]Mode{ModeBase, ModeFR, ModeSWI}
 // merged back mode-major; at most one application's partial mode runs
 // are buffered while its triple completes, and checkpointing operates
 // at single-simulation granularity so a resume re-runs only the missing
-// mode runs.
+// mode runs. A Base run an earlier PredictorStudyStream in this process
+// simulated with the same inputs is served from memory: the row is the
+// same, and OnJobDone still fires for that job.
 func SpeculationStudyStream(cfg StudyConfig, emit func(i int, row AppSpeculation) error) error {
 	cfg = cfg.withDefaults()
 	nModes := len(specModes)
@@ -377,20 +381,26 @@ func SpeculationStudyStream(cfg StudyConfig, emit func(i int, row AppSpeculation
 }
 
 // speculationJob builds the speculation study's job function: run
-// j%3 ∈ {Base, FR, SWI} of application j/3. Shared between the
-// in-process pool and remote workers.
+// j%3 ∈ {Base, FR, SWI} of application j/3, Base served from baseMemo
+// on a hit. Shared between the in-process pool and remote workers.
 func speculationJob(cfg StudyConfig) func(context.Context, *machine.Arena, int) (*RunResult, error) {
 	apps, wp, checks := cfg.Apps, cfg.workloadParams(), cfg.DisableChecks
 	nModes := len(specModes)
 	return func(_ context.Context, arena *machine.Arena, j int) (*RunResult, error) {
+		app, mode := apps[j/nModes], specModes[j%nModes]
+		if mode == ModeBase {
+			if r, ok := recallBase(baseKey{app, wp, checks}); ok {
+				return r, nil
+			}
+		}
 		// Workload generation is served by the process-wide cache, so
 		// the three mode runs of an application share one program set
 		// no matter which workers claim them.
-		w, err := AppWorkload(apps[j/nModes], wp)
+		w, err := AppWorkload(app, wp)
 		if err != nil {
 			return nil, err
 		}
-		return runInArena(arena, w, MachineOptions{Mode: specModes[j%nModes], DisableChecks: checks})
+		return runInArena(arena, w, MachineOptions{Mode: mode, DisableChecks: checks})
 	}
 }
 
@@ -707,8 +717,8 @@ func (c StudyConfig) Validate() error {
 	if err := validScale(cc.Scale); err != nil {
 		return err
 	}
-	if cc.Iterations < 0 {
-		return fmt.Errorf("specdsm: negative iteration count %d", cc.Iterations)
+	if err := validIterations(cc.Iterations); err != nil {
+		return err
 	}
 	for _, app := range cc.Apps {
 		if _, ok := appExists(app); !ok {
@@ -741,6 +751,18 @@ func (c StudyConfig) Validate() error {
 func validNodes(n int) error {
 	if n < 2 || n > mem.MaxNodes {
 		return fmt.Errorf("specdsm: invalid node count %d (supported range [2,%d])", n, mem.MaxNodes)
+	}
+	return nil
+}
+
+// validIterations refuses an iteration count outside [0, MaxIterations]
+// (0 selects the application's default).
+func validIterations(n int) error {
+	if n < 0 {
+		return fmt.Errorf("specdsm: negative iteration count %d", n)
+	}
+	if n > MaxIterations {
+		return fmt.Errorf("specdsm: iteration count %d above the cap of %d", n, MaxIterations)
 	}
 	return nil
 }

@@ -76,6 +76,12 @@ func (s *Server) Serve(ctx context.Context, lis net.Listener) error {
 	}
 }
 
+// handshakeTimeout bounds the wait for a new connection's hello, so a
+// client that never sends one cannot hold its handler goroutine forever.
+// After the handshake no read deadline applies: a dispatcher legitimately
+// holds idle connections between batches.
+var handshakeTimeout = 10 * time.Second
+
 func (s *Server) logf(format string, args ...any) {
 	if s.Logf != nil {
 		s.Logf(format, args...)
@@ -93,6 +99,7 @@ func (s *Server) handle(ctx context.Context, conn net.Conn, id uint64) {
 	conn = fault.Wrap(s.Inject, conn)
 	lc := &lockedConn{c: conn}
 
+	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	hello, err := readMsg(conn)
 	if err != nil || hello.Op != opHello {
 		s.logf("conn %d: bad handshake: %v", id, err)
@@ -111,6 +118,7 @@ func (s *Server) handle(ctx context.Context, conn net.Conn, id uint64) {
 	if err := lc.write(&msg{Op: opHelloOK}); err != nil {
 		return
 	}
+	conn.SetReadDeadline(time.Time{})
 	s.logf("conn %d: dispatcher connected", id)
 
 	// The heartbeat goroutine keeps frames flowing while a long job

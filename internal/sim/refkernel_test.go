@@ -6,8 +6,8 @@ import "fmt"
 // 4-ary heap ordered by (time, insertion-seq). It is retained verbatim as
 // the differential-testing oracle for Kernel — the wheel must dispatch
 // every schedule in exactly the order this heap does — and as the
-// baseline for the scheduler microbenchmarks. It is not used by the
-// simulator itself.
+// baseline for the scheduler microbenchmarks. It lives in a test file
+// because the simulator itself never uses it.
 type ReferenceKernel struct {
 	now      Cycle
 	seq      uint64

@@ -23,6 +23,7 @@ func TestNewRemoteRunnerRefusesBadSpecs(t *testing.T) {
 		{"depth 0", func(rs *remoteSpec) { rs.Depths = []int{0} }, "invalid depth 0"},
 		{"negative retries", func(rs *remoteSpec) { rs.Retries = -1 }, "negative retry budget"},
 		{"negative iterations", func(rs *remoteSpec) { rs.Iterations = -3 }, "negative iteration count -3"},
+		{"too many iterations", func(rs *remoteSpec) { rs.Iterations = MaxIterations + 1 }, "above the cap of 1000"},
 		{"negative base", func(rs *remoteSpec) { rs.Base = -3 }, "negative resume offset -3"},
 		{"bad fault spec", func(rs *remoteSpec) { rs.FaultSpec = "transient=lots" }, "fault"},
 		{"empty node axis", func(rs *remoteSpec) { rs.Study = "scaling" }, "empty axis"},

@@ -75,6 +75,11 @@ type WorkloadParams struct {
 	Seed       int64
 }
 
+// MaxIterations caps WorkloadParams.Iterations and StudyConfig.Iterations,
+// far above the paper's largest count (Table 2: 60), so that a mistyped
+// count is refused instead of generating an enormous program.
+const MaxIterations = 1000
+
 // Workload is a generated multi-node program, ready to run. The program
 // slices may be shared with other Workload values for the same
 // (application, parameters) — generation is served from a process-wide
@@ -117,8 +122,9 @@ func AppInfos() []AppInfo {
 
 // AppWorkload instantiates one of the seven paper benchmarks. Zero
 // parameters select the defaults (16 nodes, the application's iteration
-// count, scale 1, seed 1); a machine size outside [2, mem.MaxNodes], a
-// negative iteration count, or a non-finite or negative scale is refused.
+// count, scale 1, seed 1); a machine size outside [2, mem.MaxNodes], an
+// iteration count outside [0, MaxIterations], or a non-finite or negative
+// scale is refused.
 func AppWorkload(name string, p WorkloadParams) (Workload, error) {
 	app, ok := workload.ByName(name)
 	if !ok {
@@ -136,8 +142,8 @@ func AppWorkload(name string, p WorkloadParams) (Workload, error) {
 	if err := validNodes(wp.Nodes); err != nil {
 		return Workload{}, err
 	}
-	if wp.Iterations < 0 {
-		return Workload{}, fmt.Errorf("specdsm: negative iteration count %d", wp.Iterations)
+	if err := validIterations(wp.Iterations); err != nil {
+		return Workload{}, err
 	}
 	if wp.Scale != 0 { // 0 selects the generator's default scale
 		if err := validScale(wp.Scale); err != nil {

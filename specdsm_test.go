@@ -46,6 +46,7 @@ func TestAppWorkloadRefusesBadParams(t *testing.T) {
 		{"too many nodes", specdsm.WorkloadParams{Nodes: 5000}, "invalid node count 5000"},
 		{"negative nodes", specdsm.WorkloadParams{Nodes: -4}, "invalid node count -4"},
 		{"negative iterations", specdsm.WorkloadParams{Iterations: -2}, "negative iteration count -2"},
+		{"too many iterations", specdsm.WorkloadParams{Iterations: specdsm.MaxIterations + 1}, "iteration count 1001 above the cap of 1000"},
 		{"NaN scale", specdsm.WorkloadParams{Scale: math.NaN()}, "invalid scale NaN"},
 		{"negative scale", specdsm.WorkloadParams{Scale: -1}, "invalid scale -1"},
 		{"infinite scale", specdsm.WorkloadParams{Scale: math.Inf(1)}, "invalid scale +Inf"},
@@ -280,6 +281,7 @@ func TestValidateRefusesBadNodesAndScale(t *testing.T) {
 		{"negative scale", specdsm.StudyConfig{Scale: -1}, "invalid scale -1"},
 		{"infinite scale", specdsm.StudyConfig{Scale: math.Inf(1)}, "invalid scale +Inf"},
 		{"negative iterations", specdsm.StudyConfig{Iterations: -3}, "negative iteration count -3"},
+		{"too many iterations", specdsm.StudyConfig{Iterations: 5000}, "iteration count 5000 above the cap"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
