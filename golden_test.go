@@ -72,10 +72,15 @@ func TestStudiesParallelInvariant(t *testing.T) {
 			t.Fatalf("seed %d: PredictorStudy diverged between Parallel 1 and 8:\n%+v\nvs\n%+v", seed, p1, p8)
 		}
 
+		// The predictor studies above left their Base runs in memory;
+		// drop them so each speculation study simulates its Base leg on
+		// its own workers instead of both reading p8's runs.
+		specdsm.ForgetBaseRuns()
 		s1, err := specdsm.SpeculationStudy(seq)
 		if err != nil {
 			t.Fatal(err)
 		}
+		specdsm.ForgetBaseRuns()
 		s8, err := specdsm.SpeculationStudy(par)
 		if err != nil {
 			t.Fatal(err)
@@ -98,10 +103,12 @@ func TestAggregatesParallelInvariant(t *testing.T) {
 	}
 	seq, par := cfg, cfg
 	seq.Parallel, par.Parallel = 1, 8
+	specdsm.ForgetBaseRuns()
 	a1, err := specdsm.SpeculationStudySeeds(seq, []int64{11, 23})
 	if err != nil {
 		t.Fatal(err)
 	}
+	specdsm.ForgetBaseRuns()
 	a8, err := specdsm.SpeculationStudySeeds(par, []int64{11, 23})
 	if err != nil {
 		t.Fatal(err)

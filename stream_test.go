@@ -33,10 +33,14 @@ func streamCfg() specdsm.StudyConfig {
 
 func TestSpeculationStudyStreamMatchesCollect(t *testing.T) {
 	cfg := streamCfg()
+	// Both legs simulate their Base runs rather than reading runs a
+	// predictor study of the same shape left in memory.
+	specdsm.ForgetBaseRuns()
 	want, err := specdsm.SpeculationStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	specdsm.ForgetBaseRuns()
 	var got []specdsm.AppSpeculation
 	next := 0
 	err = specdsm.SpeculationStudyStream(cfg, func(i int, row specdsm.AppSpeculation) error {
