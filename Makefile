@@ -9,7 +9,7 @@ SHELL := /bin/bash
 # the new one and bench-check can diff them.
 BENCH_OUT ?= BENCH_PR10.json
 
-.PHONY: check fmt vet build test race bench benchsmoke bench-check determinism chaos chaos-remote fuzzsmoke cover profile loc
+.PHONY: check fmt vet build test race bench benchsmoke bench-check bench-ab determinism chaos chaos-remote fuzzsmoke cover profile loc
 
 # check is the full gate: formatting, vet, build, the test suite under
 # the race detector (the sweep engine is explicitly designed and tested
@@ -198,6 +198,20 @@ benchsmoke:
 # record against an arbitrary older baseline instead of the adjacent one.
 bench-check:
 	$(GO) run ./cmd/benchcheck
+
+# bench-ab compares the repository benchmark (perfbench, BENCHMARK.json)
+# on revision BASE and on the working tree, on this host: PAIRS pairs of
+# `perfbench/run.sh --workload WORKLOAD --seed 1 --seconds 10 --trace 0`
+# in alternating order, BASE exported with git archive under
+# .bench_build/. It fails if any run is incorrect or failed jobs, and
+# prints, for each end-to-end metric, both medians, the pairs head won,
+# the base runs' IQR and a verdict against the metric's bound; a
+# regression beyond a bound fails it too. See scripts/bench-ab.sh.
+BASE ?= HEAD
+WORKLOAD ?= remote-2shard
+PAIRS ?= 10
+bench-ab:
+	bash scripts/bench-ab.sh $(BASE) $(WORKLOAD) $(PAIRS)
 
 # profile runs the full-scale reproduction under -cpuprofile/-memprofile
 # (single worker, so the profile samples the simulator rather than the

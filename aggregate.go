@@ -110,10 +110,10 @@ func SpeculationStudySeeds(cfg StudyConfig, seeds []int64) ([]Figure9Aggregate, 
 // seedsJob builds the multi-seed speculation study's job function:
 // (seed, app, mode)-major over the seeds×apps×modes matrix. Shared
 // between the in-process pool and remote workers.
-func seedsJob(cfg StudyConfig, seeds []int64) func(context.Context, *machine.Arena, int) (*RunResult, error) {
+func seedsJob(cfg StudyConfig, seeds []int64) func(context.Context, int) (*RunResult, error) {
 	apps, baseWP, checks := cfg.Apps, cfg.workloadParams(), cfg.DisableChecks
 	nApps, nModes := len(apps), len(specModes)
-	return func(_ context.Context, arena *machine.Arena, j int) (*RunResult, error) {
+	return func(_ context.Context, j int) (*RunResult, error) {
 		wp := baseWP
 		wp.Seed = seeds[j/(nApps*nModes)]
 		if wp.Seed == 0 {
@@ -123,7 +123,7 @@ func seedsJob(cfg StudyConfig, seeds []int64) func(context.Context, *machine.Are
 		if err != nil {
 			return nil, err
 		}
-		return runInArena(arena, w, MachineOptions{
+		return Run(w, MachineOptions{
 			Mode:          specModes[j%nModes],
 			DisableChecks: checks,
 		})
@@ -225,13 +225,13 @@ func RTLSweepStream(cfg StudyConfig, app string, p WorkloadParams, flights []int
 // rtlJob builds the rtl sweep's job function: flight j/2 of the axis,
 // Base for even j, SWI for odd. Shared between the in-process pool and
 // remote workers (which regenerate w from the spec's app and params).
-func rtlJob(w Workload, flights []int) func(context.Context, *machine.Arena, int) (*RunResult, error) {
-	return func(_ context.Context, arena *machine.Arena, j int) (*RunResult, error) {
+func rtlJob(w Workload, flights []int) func(context.Context, int) (*RunResult, error) {
+	return func(_ context.Context, j int) (*RunResult, error) {
 		mode := ModeBase
 		if j%2 == 1 {
 			mode = ModeSWI
 		}
-		return runInArena(arena, w, MachineOptions{Mode: mode, NetworkFlight: flights[j/2], DisableChecks: true})
+		return Run(w, MachineOptions{Mode: mode, NetworkFlight: flights[j/2], DisableChecks: true})
 	}
 }
 
@@ -308,9 +308,9 @@ func Characterize(cfg StudyConfig) ([]AppCharacterization, error) {
 		out = append(out, c)
 		return nil
 	}
-	err = sweep.Run(context.Background(), p, sweep.Job[struct{}, AppCharacterization]{
+	err = sweep.Run(context.Background(), p, sweep.Job[AppCharacterization]{
 		N: len(cfg.Apps),
-		Fn: func(_ context.Context, _ struct{}, i int) (AppCharacterization, error) {
+		Fn: func(_ context.Context, i int) (AppCharacterization, error) {
 			name := cfg.Apps[i]
 			app, ok := workload.ByName(name)
 			if !ok {

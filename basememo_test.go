@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-
-	"specdsm/internal/machine"
 )
 
 // ForgetBaseRuns empties the Base-run memo, so that a test or benchmark
@@ -68,15 +66,15 @@ func TestObserversLeaveBaseRunUnchanged(t *testing.T) {
 func TestBaseMemoKey(t *testing.T) {
 	ForgetBaseRuns()
 	t.Cleanup(ForgetBaseRuns)
-	ctx, arena := context.Background(), machine.NewArena()
+	ctx := context.Background()
 	base := StudyConfig{Apps: []string{"em3d"}, Nodes: 4, Iterations: 1, Scale: 0.1, Seed: 3, Depths: []int{1}}.withDefaults()
-	if _, err := predictorJob(base)(ctx, arena, 0); err != nil {
+	if _, err := predictorJob(base)(ctx, 0); err != nil {
 		t.Fatal(err)
 	}
 	baseRun := func(cfg StudyConfig) (*RunResult, bool) {
 		t.Helper()
 		h := baseMemoHits()
-		r, err := speculationJob(cfg)(ctx, arena, 0)
+		r, err := speculationJob(cfg)(ctx, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

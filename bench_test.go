@@ -163,9 +163,9 @@ func BenchmarkFig9SpeculativeDSM(b *testing.B) {
 
 // BenchmarkSeedsSpeculation runs the multi-seed Figure 9 aggregate (3
 // seeds × 7 apps × 3 modes): the construction-heaviest study and the
-// headline workload for the run-arena layer — per-worker machine reuse
-// and the workload-generation cache amortize construction across the
-// whole matrix.
+// headline workload for the machine pool — pooled machine reuse and
+// the workload-generation cache amortize construction across the whole
+// matrix.
 func BenchmarkSeedsSpeculation(b *testing.B) {
 	var agg []specdsm.Figure9Aggregate
 	for i := 0; i < b.N; i++ {

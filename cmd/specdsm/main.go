@@ -97,9 +97,9 @@ func run(spec runSpec, out io.Writer) error {
 		p.Retries = spec.Retries
 		p.RetrySeed = uint64(spec.WP.Seed)
 		p.Inject = spec.Inject
-		return sweep.Run(context.Background(), p, sweep.Job[struct{}, *specdsm.RunResult]{
+		return sweep.Run(context.Background(), p, sweep.Job[*specdsm.RunResult]{
 			N: len(workloads),
-			Fn: func(_ context.Context, _ struct{}, i int) (*specdsm.RunResult, error) {
+			Fn: func(_ context.Context, i int) (*specdsm.RunResult, error) {
 				return specdsm.Run(workloads[i], spec.Opts)
 			},
 			Emit: func(i int, r *specdsm.RunResult) error {

@@ -13,8 +13,9 @@
 // The daemon prints "sweepd listening on ADDR" on stdout once bound
 // (harnesses scrape this for -listen :0) and logs per-connection and
 // per-batch activity on stderr. One process serves any number of
-// sequential or concurrent dispatchers; per-connection simulation
-// arenas amortize allocation across a dispatcher's batches. Workers
+// sequential or concurrent dispatchers; simulated machines come from a
+// process-wide pool, so each configuration is built once per process
+// and reused by every later batch and connection. Workers
 // hold no sweep state worth preserving — killing one loses nothing but
 // in-flight batches, which the dispatcher re-runs elsewhere — so
 // SIGINT/SIGTERM simply drain: the listener and all connections close

@@ -13,7 +13,6 @@ import (
 	"specdsm/internal/analytic"
 	"specdsm/internal/core"
 	"specdsm/internal/fault"
-	"specdsm/internal/machine"
 	"specdsm/internal/mem"
 	"specdsm/internal/sweep"
 )
@@ -250,8 +249,8 @@ func (a AppPrediction) Get(kind PredictorKind, depth int) PredictorResult {
 // predecessors are done — the primary study path: rows flow through the
 // pool's bounded merge window (and, when configured, the study
 // checkpoint) instead of accumulating in a result slice. The
-// per-application runs execute on a cfg.Parallel-wide worker pool, each
-// worker replaying its jobs through one run arena. Each run is also kept
+// per-application runs execute on a cfg.Parallel-wide worker pool, on
+// machines from the process's machine pool. Each run is also kept
 // as the Base leg of a later SpeculationStudyStream (see baseMemo).
 func PredictorStudyStream(cfg StudyConfig, emit func(i int, row AppPrediction) error) error {
 	cfg = cfg.withDefaults()
@@ -265,20 +264,20 @@ func PredictorStudyStream(cfg StudyConfig, emit func(i int, row AppPrediction) e
 // predictorJob builds the predictor study's job function: application i
 // of cfg.Apps run once under Base-DSM with every predictor variant
 // observing. Shared between the in-process pool and remote workers.
-func predictorJob(cfg StudyConfig) func(context.Context, *machine.Arena, int) (AppPrediction, error) {
+func predictorJob(cfg StudyConfig) func(context.Context, int) (AppPrediction, error) {
 	observers := make([]PredictorConfig, 0, len(Kinds())*len(cfg.Depths))
 	for _, kind := range Kinds() {
 		for _, d := range cfg.Depths {
 			observers = append(observers, PredictorConfig{Kind: kind, Depth: d})
 		}
 	}
-	return func(_ context.Context, arena *machine.Arena, i int) (AppPrediction, error) {
+	return func(_ context.Context, i int) (AppPrediction, error) {
 		app := cfg.Apps[i]
 		w, err := AppWorkload(app, cfg.workloadParams())
 		if err != nil {
 			return AppPrediction{}, err
 		}
-		res, err := runInArena(arena, w, MachineOptions{
+		res, err := Run(w, MachineOptions{
 			Mode:          ModeBase,
 			Observers:     observers,
 			DisableChecks: cfg.DisableChecks,
@@ -287,18 +286,24 @@ func predictorJob(cfg StudyConfig) func(context.Context, *machine.Arena, int) (A
 			return AppPrediction{}, err
 		}
 		rememberBase(baseKey{app, cfg.workloadParams(), cfg.DisableChecks}, res)
-		ap := AppPrediction{
-			App:      app,
-			Results:  make(map[PredictorConfig]PredictorResult),
-			Reads:    res.Reads,
-			Writes:   res.Writes,
-			Upgrades: res.Upgrades,
-		}
-		for _, pr := range res.Predictors {
-			ap.Results[PredictorConfig{Kind: pr.Kind, Depth: pr.Depth}] = pr
-		}
-		return ap, nil
+		return predictionRow(app, res), nil
 	}
+}
+
+// predictionRow is the predictor study's row for app's observed Base
+// run.
+func predictionRow(app string, res *RunResult) AppPrediction {
+	ap := AppPrediction{
+		App:      app,
+		Results:  make(map[PredictorConfig]PredictorResult),
+		Reads:    res.Reads,
+		Writes:   res.Writes,
+		Upgrades: res.Upgrades,
+	}
+	for _, pr := range res.Predictors {
+		ap.Results[PredictorConfig{Kind: pr.Kind, Depth: pr.Depth}] = pr
+	}
+	return ap
 }
 
 // PredictorStudy is PredictorStudyStream collected into a slice — the
@@ -342,7 +347,7 @@ var specModes = [3]Mode{ModeBase, ModeFR, ModeSWI}
 // and SWI-DSM (VMSP depth 1 active, as in the paper) and streams each
 // application's assembled row, in cfg.Apps order, to emit. The
 // len(Apps)×3 simulations fan out as individual jobs across the
-// cfg.Parallel-wide worker pool (one run arena per worker) and are
+// cfg.Parallel-wide worker pool and are
 // merged back mode-major; at most one application's partial mode runs
 // are buffered while its triple completes, and checkpointing operates
 // at single-simulation granularity so a resume re-runs only the missing
@@ -383,10 +388,10 @@ func SpeculationStudyStream(cfg StudyConfig, emit func(i int, row AppSpeculation
 // speculationJob builds the speculation study's job function: run
 // j%3 ∈ {Base, FR, SWI} of application j/3, Base served from baseMemo
 // on a hit. Shared between the in-process pool and remote workers.
-func speculationJob(cfg StudyConfig) func(context.Context, *machine.Arena, int) (*RunResult, error) {
+func speculationJob(cfg StudyConfig) func(context.Context, int) (*RunResult, error) {
 	apps, wp, checks := cfg.Apps, cfg.workloadParams(), cfg.DisableChecks
 	nModes := len(specModes)
-	return func(_ context.Context, arena *machine.Arena, j int) (*RunResult, error) {
+	return func(_ context.Context, j int) (*RunResult, error) {
 		app, mode := apps[j/nModes], specModes[j%nModes]
 		if mode == ModeBase {
 			if r, ok := recallBase(baseKey{app, wp, checks}); ok {
@@ -400,7 +405,7 @@ func speculationJob(cfg StudyConfig) func(context.Context, *machine.Arena, int) 
 		if err != nil {
 			return nil, err
 		}
-		return runInArena(arena, w, MachineOptions{Mode: mode, DisableChecks: checks})
+		return Run(w, MachineOptions{Mode: mode, DisableChecks: checks})
 	}
 }
 

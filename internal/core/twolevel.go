@@ -156,21 +156,11 @@ func NewSized(kind Kind, depth, nodes int) *TwoLevel {
 	if nodes < 1 || nodes > mem.MaxNodes {
 		panic(fmt.Sprintf("core: node count %d out of range [1, %d]", nodes, mem.MaxNodes))
 	}
-	// The containers are pre-sized for a typical per-node working set so
-	// that cold-path table growth costs a handful of allocations instead
-	// of a full doubling chain per structure (sizing only; behaviour and
-	// contents are unchanged).
-	const presize = 256
 	p := &TwoLevel{
-		kind:        kind,
-		depth:       depth,
-		blockStates: make([]blockState, 0, 128),
-		table:       patTable{vecKeys: kind == KindVMSP},
-		store: &entryStore{
-			keys:  make([]patternKey, 0, presize),
-			hot:   make([]entryHot, 0, presize),
-			stats: make([]entryStats, 0, presize),
-		},
+		kind:     kind,
+		depth:    depth,
+		table:    patTable{vecKeys: kind == KindVMSP},
+		store:    &entryStore{},
 		maxChain: mem.InlineNodes,
 	}
 	if nodes > mem.InlineNodes {

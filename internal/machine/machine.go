@@ -269,9 +269,9 @@ func (m *Machine) System() *protocol.System { return m.sys }
 // locks all return to their just-constructed state while retaining their
 // storage (tables, dense slices, queues, event pools). A reset machine
 // is observably equivalent to a freshly built one with the same Config —
-// the contract pinned by the arena reset-equivalence tests — which is
-// what lets Arena replay many workloads through one machine without
-// paying construction again. Call only after Run has returned.
+// the contract pinned by the reset-equivalence tests — which is what
+// lets the machine pool (Run) replay many workloads through one machine
+// without paying construction again. Call only after Run has returned.
 func (m *Machine) Reset() {
 	m.kernel.Reset()
 	m.sys.Reset()
@@ -297,10 +297,10 @@ func (m *Machine) Reset() {
 }
 
 // ReconfigureNetwork swaps the machine's interconnect timing in place, so
-// an arena can replay one built machine across sweep points that differ
-// only in network configuration (the RTL sweep's flight-latency axis).
-// Call between runs, next to Reset; the machine then behaves exactly like
-// one freshly built with the new NetCfg.
+// the machine pool can replay one built machine across sweep points that
+// differ only in network configuration (the RTL sweep's flight-latency
+// axis). Call between runs, next to Reset; the machine then behaves
+// exactly like one freshly built with the new NetCfg.
 func (m *Machine) ReconfigureNetwork(cfg network.Config) {
 	m.cfg.NetCfg = cfg
 	m.sys.ReconfigureNetwork(cfg)

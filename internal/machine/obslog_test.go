@@ -90,7 +90,7 @@ func TestObservationLogEquivalence(t *testing.T) {
 	const nodes = 4
 	for _, mode := range []string{"base", "swi"} {
 		for _, residue := range []int{37, 0} {
-			cfg := arenaCfg(mode)
+			cfg := testCfg(mode)
 			cfg.Observers = nineObservers()
 			progs := mixProgs(nodes, 250, 5)
 			padToResidue(progs, observedPerHome(t, cfg, progs), residue)
@@ -137,31 +137,42 @@ func TestObservationLogEquivalence(t *testing.T) {
 }
 
 // TestArenaReuseAfterFailedRun: a run that trips the event guard leaves
-// observations in the directories' logs that were never replayed; the
-// next job through the same arena machine must not see them, and must
-// match a freshly built machine exactly.
+// observations in the directories' logs that were never replayed. The
+// pool drops such a machine; the next pooled run of the configuration,
+// and a run on the failed machine after Reset, must both match a freshly
+// built machine exactly.
 func TestArenaReuseAfterFailedRun(t *testing.T) {
-	cfg := arenaCfg("swi")
+	cfg := testCfg("swi")
 	cfg.Observers = nineObservers()
-	short := arenaProgs("pc", 4, 7)
+	short := testProgs("pc", 4, 7)
 	probe, err := New(cfg).Run(short)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.MaxEvents = 2 * probe.Events
-	arena := NewArena()
-	if _, err := arena.Run(cfg, mixProgs(4, 200, 3)); err == nil {
+	failed := New(cfg)
+	if _, err := failed.Run(mixProgs(4, 200, 3)); err == nil {
 		t.Fatal("long run did not trip the event guard")
 	}
-	reused, err := arena.Run(cfg, short)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Run(cfg, mixProgs(4, 200, 3)); err == nil {
+		t.Fatal("long pooled run did not trip the event guard")
 	}
 	fresh, err := New(cfg).Run(short)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fresh, reused) {
-		t.Errorf("arena run after a failed run diverged from fresh build\nfresh:  %+v\nreused: %+v", fresh, reused)
+	failed.Reset()
+	reset, err := failed.Run(short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled, err := Run(cfg, short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]*Result{"reset": reset, "pooled": pooled} {
+		if !reflect.DeepEqual(fresh, got) {
+			t.Errorf("%s run after a failed run diverged from fresh build\nfresh: %+v\n%s: %+v", name, fresh, name, got)
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package machine
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"specdsm/internal/core"
@@ -11,11 +13,11 @@ import (
 	"specdsm/internal/sim"
 )
 
-// arenaProgs generates a deterministic synthetic workload exercising
-// every machine surface the arena must reset: remote reads and writes
+// testProgs generates a deterministic synthetic workload exercising
+// every machine surface a pooled machine's Reset must re-arm: remote reads and writes
 // (producer/consumer and migratory blocks), compute delays, barriers,
 // and a contended lock.
-func arenaProgs(shape string, nodes int, seed int64) []Program {
+func testProgs(shape string, nodes int, seed int64) []Program {
 	rng := rand.New(rand.NewSource(seed))
 	progs := make([]Program, nodes)
 	shared := make([]mem.BlockAddr, 2*nodes)
@@ -42,7 +44,7 @@ func arenaProgs(shape string, nodes int, seed int64) []Program {
 	return progs
 }
 
-func arenaCfg(mode string) Config {
+func testCfg(mode string) Config {
 	cfg := Config{Nodes: 4}
 	switch mode {
 	case "base":
@@ -55,49 +57,64 @@ func arenaCfg(mode string) Config {
 	return cfg
 }
 
-// TestArenaResetEquivalence is the tentpole contract: a machine reused
-// through an Arena produces results deep-equal to a freshly built
+// emptyPool drops every idle machine and zeroes the build and hit
+// counters, so a test can count exactly what its own runs did.
+func emptyPool() {
+	pool.Lock()
+	defer pool.Unlock()
+	clear(pool.idle)
+	pool.n, pool.builds, pool.hits = 0, 0, 0
+}
+
+// poolCounts reads the pool's build and hit counters and idle count.
+func poolCounts() (builds, hits, idle int) {
+	pool.Lock()
+	defer pool.Unlock()
+	return pool.builds, pool.hits, pool.n
+}
+
+// TestArenaResetEquivalence is the pool's central contract: a machine
+// reused through Run produces results deep-equal to a freshly built
 // machine for every job, across two workload shapes, two seeds, and two
 // machine configurations — interleaved so every reuse follows a
 // different (workload, config) than the one that warmed the machine.
 func TestArenaResetEquivalence(t *testing.T) {
-	arena := NewArena()
+	emptyPool()
 	for _, seed := range []int64{11, 23} {
 		for _, shape := range []string{"pc", "mig"} {
 			for _, mode := range []string{"base", "swi"} {
-				progs := arenaProgs(shape, 4, seed)
-				fresh, err := New(arenaCfg(mode)).Run(progs)
+				progs := testProgs(shape, 4, seed)
+				fresh, err := New(testCfg(mode)).Run(progs)
 				if err != nil {
 					t.Fatalf("%s/%s/seed%d fresh: %v", shape, mode, seed, err)
 				}
-				reused, err := arena.Run(arenaCfg(mode), progs)
+				reused, err := Run(testCfg(mode), progs)
 				if err != nil {
-					t.Fatalf("%s/%s/seed%d arena: %v", shape, mode, seed, err)
+					t.Fatalf("%s/%s/seed%d pooled: %v", shape, mode, seed, err)
 				}
 				if !reflect.DeepEqual(fresh, reused) {
-					t.Errorf("%s/%s/seed%d: arena result diverged from fresh build\nfresh:  %+v\nreused: %+v",
+					t.Errorf("%s/%s/seed%d: pooled result diverged from fresh build\nfresh:  %+v\nreused: %+v",
 						shape, mode, seed, fresh, reused)
 				}
 			}
 		}
 	}
-	if n := arena.Machines(); n != 2 {
-		t.Errorf("arena holds %d machines, want 2 (one per distinct config)", n)
+	if builds, hits, _ := poolCounts(); builds != 2 || hits != 6 {
+		t.Errorf("pool built %d machines and served %d reuses, want 2 (one per distinct config) and 6", builds, hits)
 	}
 }
 
 // TestArenaRepeatedReuseStable replays the same job many times through
-// one arena machine: any state leaking across runs would drift the
+// one pooled machine: any state leaking across runs would drift the
 // result.
 func TestArenaRepeatedReuseStable(t *testing.T) {
-	arena := NewArena()
-	progs := arenaProgs("pc", 4, 7)
-	first, err := arena.Run(arenaCfg("swi"), progs)
+	progs := testProgs("pc", 4, 7)
+	first, err := Run(testCfg("swi"), progs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		again, err := arena.Run(arenaCfg("swi"), progs)
+		again, err := Run(testCfg("swi"), progs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,31 +125,137 @@ func TestArenaRepeatedReuseStable(t *testing.T) {
 }
 
 // TestArenaReconfiguresNetwork pins the latency-sweep folding: configs
-// that differ only in network timing share one arena machine, which is
+// that differ only in network timing share one pooled machine, which is
 // reconfigured in place per run and still produces results deep-equal to
 // a machine freshly built with that NetCfg — including when the sweep
 // revisits an earlier latency.
 func TestArenaReconfiguresNetwork(t *testing.T) {
-	arena := NewArena()
-	progs := arenaProgs("pc", 4, 7)
+	emptyPool()
+	progs := testProgs("pc", 4, 7)
 	for _, flight := range []sim.Cycle{20, 80, 320, 20} {
-		cfg := arenaCfg("swi")
+		cfg := testCfg("swi")
 		cfg.NetCfg = network.Config{FlightLatency: flight, SendOccupancy: 20, RecvOccupancy: 20}
 		fresh, err := New(cfg).Run(progs)
 		if err != nil {
 			t.Fatalf("flight %d fresh: %v", flight, err)
 		}
-		reused, err := arena.Run(cfg, progs)
+		reused, err := Run(cfg, progs)
 		if err != nil {
-			t.Fatalf("flight %d arena: %v", flight, err)
+			t.Fatalf("flight %d pooled: %v", flight, err)
 		}
 		if !reflect.DeepEqual(fresh, reused) {
-			t.Errorf("flight %d: reconfigured arena machine diverged from fresh build\nfresh:  %+v\nreused: %+v",
+			t.Errorf("flight %d: reconfigured pooled machine diverged from fresh build\nfresh:  %+v\nreused: %+v",
 				flight, fresh, reused)
 		}
 	}
-	if n := arena.Machines(); n != 1 {
-		t.Errorf("arena holds %d machines, want 1 (NetCfg must not split the key)", n)
+	if builds, _, _ := poolCounts(); builds != 1 {
+		t.Errorf("pool built %d machines, want 1 (NetCfg must not split the key)", builds)
+	}
+}
+
+// TestPoolConcurrentRunsGetDistinctMachines runs one configuration from
+// several goroutines at once. Under -race, two runs sharing a machine
+// would be reported; every result must still equal a fresh build, and
+// the pool must build no more machines than there are goroutines and
+// hold every machine it built once the runs are done.
+func TestPoolConcurrentRunsGetDistinctMachines(t *testing.T) {
+	emptyPool()
+	cfg := testCfg("swi")
+	progs := testProgs("mig", 4, 5)
+	want, err := New(cfg).Run(progs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines, runs = 4, 5
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines*runs)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < runs; r++ {
+				got, err := Run(cfg, progs)
+				if err == nil && !reflect.DeepEqual(got, want) {
+					err = fmt.Errorf("concurrent pooled run diverged from fresh build")
+				}
+				if err != nil {
+					errs <- err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	builds, hits, idle := poolCounts()
+	if builds < 1 || builds > goroutines || builds+hits != goroutines*runs || idle != builds {
+		t.Errorf("pool built %d, reused %d, holds %d idle after %d runs on %d goroutines",
+			builds, hits, idle, goroutines*runs, goroutines)
+	}
+
+}
+
+// TestPoolDropsFailedRuns: a run that trips the event guard, or panics,
+// does not give its machine back, so the next run of that configuration
+// builds a new one.
+func TestPoolDropsFailedRuns(t *testing.T) {
+	emptyPool()
+	cfg := testCfg("swi")
+	probe, err := New(cfg).Run(testProgs("pc", 4, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.MaxEvents = 2 * probe.Events
+	if _, err := Run(cfg, mixProgs(4, 200, 3)); err == nil {
+		t.Fatal("long run did not trip the event guard")
+	}
+	if builds, _, idle := poolCounts(); builds != 1 || idle != 0 {
+		t.Errorf("after a failed run: %d built, %d idle; want 1 built and none idle", builds, idle)
+	}
+
+	panicky := make([]Program, 4)
+	panicky[0] = Program{Unlock(0)}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("unlocking a free lock did not panic")
+			}
+		}()
+		Run(cfg, panicky)
+	}()
+	if builds, _, idle := poolCounts(); builds != 2 || idle != 0 {
+		t.Errorf("after a panicking run: %d built, %d idle; want 2 built and none idle", builds, idle)
+	}
+}
+
+// TestPoolBoundDropsIdleSet: putting back one machine more than poolCap
+// drops the whole idle set first, so a configuration that was idle
+// before the overflow is built again.
+func TestPoolBoundDropsIdleSet(t *testing.T) {
+	emptyPool()
+	progs := testProgs("pc", 2, 3)
+	cfgAt := func(i int) Config { return Config{Nodes: 2, MaxEvents: uint64(1_000_000 + i)} }
+	for i := 0; i < poolCap; i++ {
+		if _, err := Run(cfgAt(i), progs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, idle := poolCounts(); idle != poolCap {
+		t.Fatalf("%d idle machines after %d distinct runs, want %d", idle, poolCap, poolCap)
+	}
+	if _, err := Run(cfgAt(poolCap), progs); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, idle := poolCounts(); idle != 1 {
+		t.Fatalf("%d idle machines after overflowing the bound, want 1", idle)
+	}
+	if _, err := Run(cfgAt(0), progs); err != nil {
+		t.Fatal(err)
+	}
+	if builds, hits, _ := poolCounts(); builds != poolCap+2 || hits != 0 {
+		t.Errorf("pool built %d and reused %d, want %d and 0", builds, hits, poolCap+2)
 	}
 }
 
@@ -170,10 +293,10 @@ func TestFixedLatenciesFitNearWheel(t *testing.T) {
 // (tables, queues, dense slices, observation logs, and pools are all
 // retained).
 func TestMachineRearmZeroAllocs(t *testing.T) {
-	cfg := arenaCfg("swi")
+	cfg := testCfg("swi")
 	cfg.Observers = nineObservers()
 	m := New(cfg)
-	progs := arenaProgs("pc", 4, 7)
+	progs := testProgs("pc", 4, 7)
 	if _, err := m.Run(progs); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +313,7 @@ func TestMachineRearmZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestObserverLogRunAllocs guards the observation log on a reused arena:
+// TestObserverLogRunAllocs guards the observation log on a pooled machine:
 // the allocations nine observers add to a warm Base run (the result's
 // per-spec maps) are the same whether each directory's log fills at most
 // once or half a dozen times, so feeding the observers allocates nothing
@@ -201,12 +324,11 @@ func TestObserverLogRunAllocs(t *testing.T) {
 	extra := func(iters int) float64 {
 		progs := mixProgs(4, iters, 5)
 		runAllocs := func(cfg Config) float64 {
-			a := NewArena()
-			if _, err := a.Run(cfg, progs); err != nil {
+			if _, err := Run(cfg, progs); err != nil {
 				t.Fatal(err)
 			}
 			return testing.AllocsPerRun(5, func() {
-				if _, err := a.Run(cfg, progs); err != nil {
+				if _, err := Run(cfg, progs); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -15,7 +15,7 @@ import (
 // the gob-encoded result row for the given absolute job index, or the
 // job's (already retry-settled) failure. Implementations are used from
 // one goroutine at a time — the server builds a fresh Runner per
-// connection, so per-runner state (a machine.Arena) needs no locking.
+// connection, so per-runner state needs no locking.
 type Runner interface {
 	Run(ctx context.Context, index int) ([]byte, error)
 }
@@ -36,8 +36,7 @@ const DefaultHeartbeatEvery = 250 * time.Millisecond
 // handshake's study spec, and executes job batches, streaming one
 // jobDone frame per job. A long-running sweepd process serves any
 // number of sequential or concurrent dispatchers; each connection's
-// Runner (and the arena inside it) amortizes across that dispatcher's
-// batches.
+// Runner serves all of that dispatcher's batches.
 type Server struct {
 	// NewRunner builds the per-connection job executor from the
 	// handshake's study spec. An error refuses the connection with the

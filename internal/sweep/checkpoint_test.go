@@ -52,9 +52,9 @@ func runCheckpointed(t *testing.T, path string, n, workers, every, failAt int, r
 		return nil, err
 	}
 	var out []row
-	err = sweep.Run(context.Background(), sweep.New(workers), sweep.Job[struct{}, row]{
+	err = sweep.Run(context.Background(), sweep.New(workers), sweep.Job[row]{
 		N: n, Checkpoint: ck,
-		Fn: func(_ context.Context, _ struct{}, i int) (row, error) {
+		Fn: func(_ context.Context, i int) (row, error) {
 			if ran != nil {
 				ran.Add(1)
 			}
@@ -75,9 +75,9 @@ func TestCheckpointInterruptResumeEqualsFresh(t *testing.T) {
 	const n = 50
 	// Uninterrupted reference run, no checkpoint.
 	var want []row
-	if err := sweep.Run(context.Background(), sweep.New(1), sweep.Job[struct{}, row]{
+	if err := sweep.Run(context.Background(), sweep.New(1), sweep.Job[row]{
 		N:    n,
-		Fn:   func(_ context.Context, _ struct{}, i int) (row, error) { return mkRow(i), nil },
+		Fn:   func(_ context.Context, i int) (row, error) { return mkRow(i), nil },
 		Emit: func(i int, v row) error { want = append(want, v); return nil },
 	}); err != nil {
 		t.Fatal(err)
@@ -240,9 +240,9 @@ func TestStreamWindowBoundsLookahead(t *testing.T) {
 	const n = 400
 	for _, tc := range []struct{ workers, window int }{{1, 1}, {16, 64}, {32, 128}} {
 		var emitted, maxAhead atomic.Int64
-		err := sweep.Run(context.Background(), sweep.New(tc.workers), sweep.Job[struct{}, int]{
+		err := sweep.Run(context.Background(), sweep.New(tc.workers), sweep.Job[int]{
 			N: n,
-			Fn: func(_ context.Context, _ struct{}, i int) (int, error) {
+			Fn: func(_ context.Context, i int) (int, error) {
 				ahead := int64(i) - emitted.Load()
 				for {
 					cur := maxAhead.Load()
@@ -290,7 +290,7 @@ func TestRunExecutorResumes(t *testing.T) {
 	p.OnJobDone = func(i int, _ time.Duration) { hooked = append(hooked, i) }
 	var got []row
 	var gotBase, gotN int
-	err = sweep.Run(context.Background(), p, sweep.Job[struct{}, row]{
+	err = sweep.Run(context.Background(), p, sweep.Job[row]{
 		N: n, Checkpoint: ck,
 		Emit: func(i int, v row) error {
 			if v.Index != i {
@@ -302,7 +302,7 @@ func TestRunExecutorResumes(t *testing.T) {
 		Exec: func(ctx context.Context, p *sweep.Pool, base, n int, emit func(int, row) error, fail sweep.FailFunc) error {
 			gotBase, gotN = base, n
 			for j := 0; j < n; j++ {
-				v, err := sweep.RunOne(ctx, p, struct{}{}, j, func(_ context.Context, _ struct{}, j int) (row, error) {
+				v, err := sweep.RunOne(ctx, p, j, func(_ context.Context, j int) (row, error) {
 					return mkRow(base + j), nil
 				})
 				if err != nil {

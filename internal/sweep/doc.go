@@ -4,9 +4,8 @@
 // scaling, and multi-seed sweeps) is a set of independent
 // app×mode×depth×seed simulations. Run is the one entry point that
 // executes such a set: a Job names the job count N, the job function
-// Fn, where results go (Emit, and Fail in keep-going mode), optional
-// worker-local state (NewState), an optional Checkpoint, and optionally
-// an Executor other than the local pool. Run guarantees that the
+// Fn, where results go (Emit, and Fail in keep-going mode), an optional
+// Checkpoint, and optionally an Executor other than the local pool. Run guarantees that the
 // observable outcome — results, their order, and which error is
 // reported — is identical to running the jobs sequentially:
 //
@@ -18,13 +17,6 @@
 //     earlier (more authoritative) failure is never lost.
 //   - A panicking job is captured as a *PanicError rather than taking
 //     down the process.
-//
-// Worker-local state: each worker goroutine lazily builds one state
-// value (typically a machine.Arena that amortizes simulated-machine
-// construction across the worker's jobs) and threads it through every
-// job it claims. State never crosses workers; since job results must not
-// depend on which worker ran them, the ordered-merge guarantee is
-// unchanged.
 //
 // Streaming is bounded-memory: a merge window derived from the worker
 // count caps how far job claiming may run ahead of the ordered merge,

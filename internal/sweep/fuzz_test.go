@@ -65,9 +65,9 @@ func FuzzCheckpointFrames(f *testing.F) {
 		// The salvaged prefix must replay cleanly end to end (decode
 		// failures surface as errors, never panics), and the rewritten
 		// file must now satisfy the strict path.
-		replayErr := sweep.Run(context.Background(), sweep.New(1), sweep.Job[struct{}, map[string]int]{
+		replayErr := sweep.Run(context.Background(), sweep.New(1), sweep.Job[map[string]int]{
 			N: 8, Checkpoint: salvaged,
-			Fn: func(_ context.Context, _ struct{}, i int) (map[string]int, error) {
+			Fn: func(_ context.Context, i int) (map[string]int, error) {
 				return map[string]int{"row": i}, nil
 			},
 			Emit: func(i int, v map[string]int) error { return nil },

@@ -153,9 +153,9 @@ func TestKeepGoingOrdering(t *testing.T) {
 	run := func(workers int) ([]string, []int) {
 		var trace []string
 		var failed []int
-		err := Run(context.Background(), New(workers), Job[struct{}, int]{
+		err := Run(context.Background(), New(workers), Job[int]{
 			N: n,
-			Fn: func(_ context.Context, _ struct{}, i int) (int, error) {
+			Fn: func(_ context.Context, i int) (int, error) {
 				if bad[i] {
 					return 0, fmt.Errorf("job %d broke", i)
 				}
@@ -200,9 +200,9 @@ func TestKeepGoingFailErrorStops(t *testing.T) {
 	tooMuch := errors.New("too many failures")
 	for _, workers := range []int{1, 8} {
 		var fails int
-		err := Run(context.Background(), New(workers), Job[struct{}, int]{
+		err := Run(context.Background(), New(workers), Job[int]{
 			N: 100,
-			Fn: func(_ context.Context, _ struct{}, i int) (int, error) {
+			Fn: func(_ context.Context, i int) (int, error) {
 				return 0, fmt.Errorf("job %d broke", i)
 			},
 			Emit: func(i, v int) error { return nil },
@@ -232,9 +232,9 @@ func TestKeepGoingRetriesFirst(t *testing.T) {
 	p := New(4)
 	p.Retries = 2
 	var failed []int
-	err := Run(context.Background(), p, Job[struct{}, int]{
+	err := Run(context.Background(), p, Job[int]{
 		N: n,
-		Fn: func(_ context.Context, _ struct{}, i int) (int, error) {
+		Fn: func(_ context.Context, i int) (int, error) {
 			if i == 5 && once.Add(1) == 1 {
 				return 0, Transient(errors.New("one-shot flake"))
 			}
@@ -310,9 +310,9 @@ func TestInjectedPanicsKeepGoing(t *testing.T) {
 		p := New(workers)
 		p.Inject = inj
 		var rows []string
-		err := Run(context.Background(), p, Job[struct{}, int]{
+		err := Run(context.Background(), p, Job[int]{
 			N:  n,
-			Fn: func(_ context.Context, _ struct{}, i int) (int, error) { return i, nil },
+			Fn: func(_ context.Context, i int) (int, error) { return i, nil },
 			Emit: func(i, v int) error {
 				t.Fatalf("workers=%d: job %d emitted despite injected panic", workers, i)
 				return nil

@@ -34,9 +34,9 @@ func writeFullCheckpoint(t *testing.T, path string, n int) []row {
 func completeSalvaged(t *testing.T, ck *sweep.Checkpoint, n int, ran *atomic.Int64) []row {
 	t.Helper()
 	var out []row
-	err := sweep.Run(context.Background(), sweep.New(1), sweep.Job[struct{}, row]{
+	err := sweep.Run(context.Background(), sweep.New(1), sweep.Job[row]{
 		N: n, Checkpoint: ck,
-		Fn: func(_ context.Context, _ struct{}, i int) (row, error) {
+		Fn: func(_ context.Context, i int) (row, error) {
 			if ran != nil {
 				ran.Add(1)
 			}
@@ -281,9 +281,9 @@ func keepGoingEvents(t *testing.T, path string, n, workers int, interruptAt int)
 		events = append(events, fmt.Sprintf("FAILED %d: %v", i, err))
 		return nil
 	}
-	err := sweep.Run(context.Background(), sweep.New(workers), sweep.Job[struct{}, row]{
+	err := sweep.Run(context.Background(), sweep.New(workers), sweep.Job[row]{
 		N: n, Checkpoint: ck, Emit: emit, Fail: fail,
-		Fn: func(_ context.Context, _ struct{}, i int) (row, error) {
+		Fn: func(_ context.Context, i int) (row, error) {
 			if bad[i] {
 				return row{}, fmt.Errorf("job %d broke", i)
 			}
@@ -336,9 +336,9 @@ func TestReplayFailureFrameWithoutSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = sweep.Run(context.Background(), sweep.New(1), sweep.Job[struct{}, row]{
+	err = sweep.Run(context.Background(), sweep.New(1), sweep.Job[row]{
 		N: n, Checkpoint: ck,
-		Fn:   func(_ context.Context, _ struct{}, i int) (row, error) { return mkRow(i), nil },
+		Fn:   func(_ context.Context, i int) (row, error) { return mkRow(i), nil },
 		Emit: func(i int, v row) error { return nil },
 	})
 	if err == nil || !strings.Contains(err.Error(), "recorded failure") {

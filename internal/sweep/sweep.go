@@ -31,9 +31,9 @@ type Pool struct {
 	OnJobDone func(index int, d time.Duration)
 	// Retries is the per-job retry budget for transient failures: a job
 	// whose error satisfies IsTransient is re-run in place — same index,
-	// same worker, same worker-local state — up to Retries more times
-	// before the failure becomes permanent. Fatal errors (anything not
-	// marked Transient, including *PanicError) are never retried.
+	// same worker — up to Retries more times before the failure becomes
+	// permanent. Fatal errors (anything not marked Transient, including
+	// *PanicError) are never retried.
 	// Because the retry happens inside the job slot, the ordered merge
 	// is undisturbed: a sweep whose transient faults all succeed within
 	// budget emits output byte-identical to a fault-free run.
@@ -262,18 +262,12 @@ func frameText(fn, loc string) string {
 type FailFunc func(index int, err error) error
 
 // Job describes one sweep for Run.
-type Job[S, T any] struct {
+type Job[T any] struct {
 	// N is the job count; jobs are the indices [0, N).
 	N int
-	// NewState builds one worker-local state value, lazily, before a
-	// worker's first job; every job the worker claims receives it. It
-	// exists for expensive reusable scaffolding — a machine.Arena that
-	// amortizes simulated-machine construction is the motivating case.
-	// State never crosses workers, and Fn must keep results independent
-	// of which worker ran the job. Nil gives every job the zero S.
-	NewState func() S
-	// Fn computes job i.
-	Fn func(ctx context.Context, s S, i int) (T, error)
+	// Fn computes job i. Its result must not depend on which worker ran
+	// it.
+	Fn func(ctx context.Context, i int) (T, error)
 	// Emit receives each result in index order, on the calling
 	// goroutine, as soon as the result and all its predecessors are
 	// settled. A non-nil error stops the sweep and is returned.
@@ -292,7 +286,7 @@ type Job[S, T any] struct {
 	// the sweep ends, successfully or not.
 	Checkpoint *Checkpoint
 	// Exec, when non-nil, runs the jobs in place of the local pool (a
-	// remote shard dispatcher); Fn and NewState are then unused.
+	// remote shard dispatcher); Fn is then unused.
 	Exec Executor[T]
 }
 
@@ -317,7 +311,7 @@ type Executor[T any] func(ctx context.Context, p *Pool, base, n int, emit func(j
 // interrupted-then-resumed sweep emits exactly the sequence an
 // uninterrupted run would have — at any worker count and on either
 // executor.
-func Run[S, T any](ctx context.Context, p *Pool, job Job[S, T]) error {
+func Run[T any](ctx context.Context, p *Pool, job Job[T]) error {
 	ck := job.Checkpoint
 	emit, fail := job.Emit, job.Fail
 	base := 0
@@ -356,14 +350,11 @@ func Run[S, T any](ctx context.Context, p *Pool, job Job[S, T]) error {
 	if job.Exec != nil {
 		err = job.Exec(ctx, p, base, job.N-base, emit, fail)
 	} else {
-		fn, newState := job.Fn, job.NewState
+		fn := job.Fn
 		if base > 0 {
-			fn = func(ctx context.Context, s S, j int) (T, error) { return job.Fn(ctx, s, base+j) }
+			fn = func(ctx context.Context, j int) (T, error) { return job.Fn(ctx, base+j) }
 		}
-		if newState == nil {
-			newState = func() (s S) { return s }
-		}
-		err = stream(ctx, p, job.N-base, newState, fn, emit, fail)
+		err = stream(ctx, p, job.N-base, fn, emit, fail)
 	}
 	if ck != nil {
 		// Persist whatever settled even when the sweep failed or was
@@ -378,7 +369,7 @@ func Run[S, T any](ctx context.Context, p *Pool, job Job[S, T]) error {
 
 // stream is the local-pool executor: n jobs fanned out over the pool's
 // workers and merged back in index order.
-func stream[S, T any](ctx context.Context, p *Pool, n int, newState func() S, fn func(ctx context.Context, s S, i int) (T, error), emit func(i int, v T) error, fail FailFunc) error {
+func stream[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Context, i int) (T, error), emit func(i int, v T) error, fail FailFunc) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
@@ -408,23 +399,12 @@ func stream[S, T any](ctx context.Context, p *Pool, n int, newState func() S, fn
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Worker-local state is built lazily: a worker that never
-			// claims a job (all indices taken, or an early failure) never
-			// pays for it.
-			var (
-				state    S
-				hasState bool
-			)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n || !gate.waitTurn(ctx, i) {
 					return
 				}
-				if !hasState {
-					state = newState()
-					hasState = true
-				}
-				v, err := runJob(ctx, p, state, i, fn)
+				v, err := runJob(ctx, p, i, fn)
 				results <- item{i: i, v: v, err: err}
 			}
 		}()
@@ -501,23 +481,22 @@ func stream[S, T any](ctx context.Context, p *Pool, n int, newState func() S, fn
 // capture, and backoff schedule are identical to the in-process pool's,
 // a job's settled outcome (value or error text) is the same wherever it
 // executes.
-func RunOne[S, T any](ctx context.Context, p *Pool, s S, i int, fn func(ctx context.Context, s S, i int) (T, error)) (T, error) {
-	return runJob(ctx, p, s, i, fn)
+func RunOne[T any](ctx context.Context, p *Pool, i int, fn func(ctx context.Context, i int) (T, error)) (T, error) {
+	return runJob(ctx, p, i, fn)
 }
 
 // runJob runs job i under the pool's retry policy: runOnce per attempt,
 // re-running in place while the error is Transient, budget remains, and
-// the context is live. Retrying in place — same index, same worker,
-// same worker-local state — leaves the ordered merge untouched, so a
-// sweep whose transient faults clear within budget is indistinguishable
-// from a fault-free one.
-func runJob[S, T any](ctx context.Context, p *Pool, s S, i int, fn func(ctx context.Context, s S, i int) (T, error)) (T, error) {
+// the context is live. Retrying in place — same index, same worker —
+// leaves the ordered merge untouched, so a sweep whose transient faults
+// clear within budget is indistinguishable from a fault-free one.
+func runJob[T any](ctx context.Context, p *Pool, i int, fn func(ctx context.Context, i int) (T, error)) (T, error) {
 	var retries int
 	if p != nil {
 		retries = p.Retries
 	}
 	for attempt := 0; ; attempt++ {
-		v, err := runOnce(ctx, p, s, i, attempt, fn)
+		v, err := runOnce(ctx, p, i, attempt, fn)
 		if err == nil || attempt >= retries || !IsTransient(err) || ctx.Err() != nil {
 			return v, err
 		}
@@ -532,7 +511,7 @@ func runJob[S, T any](ctx context.Context, p *Pool, s S, i int, fn func(ctx cont
 // runOnce executes a single attempt of job i: injector seams first
 // (delay, panic, transient error), then the job itself, with panics
 // converted to *PanicError and the completion hook fired on success.
-func runOnce[S, T any](ctx context.Context, p *Pool, s S, i, attempt int, fn func(ctx context.Context, s S, i int) (T, error)) (v T, err error) {
+func runOnce[T any](ctx context.Context, p *Pool, i, attempt int, fn func(ctx context.Context, i int) (T, error)) (v T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Index: i, Value: r, Stack: debug.Stack()}
@@ -549,10 +528,10 @@ func runOnce[S, T any](ctx context.Context, p *Pool, s S, i, attempt int, fn fun
 	}
 	hook := p.jobDoneHook()
 	if hook == nil {
-		return fn(ctx, s, i)
+		return fn(ctx, i)
 	}
 	start := time.Now()
-	v, err = fn(ctx, s, i)
+	v, err = fn(ctx, i)
 	if err == nil {
 		hook(i, time.Since(start))
 	}

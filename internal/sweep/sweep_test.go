@@ -16,16 +16,11 @@ func mixedLatency(i, n int) time.Duration {
 	return time.Duration((n-i)%7) * time.Millisecond
 }
 
-// indexJob adapts a stateless job function to Job.Fn.
-func indexJob[T any](fn func(ctx context.Context, i int) (T, error)) func(context.Context, struct{}, int) (T, error) {
-	return func(ctx context.Context, _ struct{}, i int) (T, error) { return fn(ctx, i) }
-}
-
 // collect runs fn for every index in [0, n) and returns the results in
 // index order, or the sweep's error and no results.
 func collect[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := Run(ctx, p, Job[struct{}, T]{N: n, Fn: indexJob(fn), Emit: func(i int, v T) error {
+	err := Run(ctx, p, Job[T]{N: n, Fn: fn, Emit: func(i int, v T) error {
 		out[i] = v
 		return nil
 	}})
@@ -64,9 +59,9 @@ func TestMapOrderedUnderMixedLatency(t *testing.T) {
 func TestStreamEmitsInSubmissionOrder(t *testing.T) {
 	const n = 200
 	var order []int
-	err := Run(context.Background(), New(8), Job[struct{}, int]{
+	err := Run(context.Background(), New(8), Job[int]{
 		N: n,
-		Fn: func(_ context.Context, _ struct{}, i int) (int, error) {
+		Fn: func(_ context.Context, i int) (int, error) {
 			time.Sleep(mixedLatency(i, n))
 			return i, nil
 		},
@@ -230,9 +225,9 @@ func TestErrorStopsDispatch(t *testing.T) {
 func TestStreamEmitErrorStops(t *testing.T) {
 	stopAt := errors.New("enough")
 	var emitted []int
-	err := Run(context.Background(), New(8), Job[struct{}, int]{
+	err := Run(context.Background(), New(8), Job[int]{
 		N:  100,
-		Fn: func(_ context.Context, _ struct{}, i int) (int, error) { return i, nil },
+		Fn: func(_ context.Context, i int) (int, error) { return i, nil },
 		Emit: func(i, v int) error {
 			emitted = append(emitted, i)
 			if i == 5 {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,18 +14,13 @@ import (
 	"specdsm/internal/sweep"
 )
 
-// counter is a toy worker-local state standing in for a run arena.
-type counter struct {
-	id   int64
-	jobs int
-}
-
-// collectState runs n jobs with worker-local state through sweep.Run
-// and returns the results in index order.
-func collectState[S, T any](p *sweep.Pool, n int, newState func() S, fn func(context.Context, S, int) (T, error)) ([]T, error) {
+// collect runs n jobs through sweep.Run and returns the results in
+// index order.
+func collect[T any](p *sweep.Pool, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := sweep.Run(context.Background(), p, sweep.Job[S, T]{
-		N: n, NewState: newState, Fn: fn,
+	err := sweep.Run(context.Background(), p, sweep.Job[T]{
+		N:  n,
+		Fn: func(_ context.Context, i int) (T, error) { return fn(i) },
 		Emit: func(i int, v T) error {
 			out[i] = v
 			return nil
@@ -36,67 +30,6 @@ func collectState[S, T any](p *sweep.Pool, n int, newState func() S, fn func(con
 		return nil, err
 	}
 	return out, nil
-}
-
-// collect is collectState for stateless jobs.
-func collect[T any](p *sweep.Pool, n int, fn func(i int) (T, error)) ([]T, error) {
-	return collectState(p, n, nil, func(_ context.Context, _ struct{}, i int) (T, error) { return fn(i) })
-}
-
-// TestMapWorkerStateStaysWithinWorker checks the worker-state contract:
-// every job sees a state instance, a state never runs two jobs
-// concurrently, and the number of states built never exceeds the worker
-// count (lazy construction may build fewer).
-func TestMapWorkerStateStaysWithinWorker(t *testing.T) {
-	const n = 64
-	var built atomic.Int64
-	newState := func() *counter {
-		return &counter{id: built.Add(1)}
-	}
-	out, err := collectState(sweep.New(4), n, newState,
-		func(_ context.Context, s *counter, i int) (int64, error) {
-			s.jobs++ // unsynchronized: the race detector verifies exclusivity
-			time.Sleep(time.Duration(i%3) * time.Millisecond)
-			return s.id, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != n {
-		t.Fatalf("got %d results, want %d", len(out), n)
-	}
-	if b := built.Load(); b < 1 || b > 4 {
-		t.Fatalf("built %d states for a 4-worker pool", b)
-	}
-	for i, id := range out {
-		if id < 1 || id > built.Load() {
-			t.Fatalf("job %d ran with unknown state id %d", i, id)
-		}
-	}
-}
-
-// TestMapWorkerSequentialBuildsOneState pins the one-worker path: a
-// single state instance carries the whole sweep, in order.
-func TestMapWorkerSequentialBuildsOneState(t *testing.T) {
-	var built, order []int
-	_, err := collectState(sweep.New(1), 5,
-		func() int { built = append(built, len(built)); return 42 },
-		func(_ context.Context, s int, i int) (int, error) {
-			if s != 42 {
-				t.Fatalf("job %d got state %d", i, s)
-			}
-			order = append(order, i)
-			return i, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(built) != 1 {
-		t.Fatalf("sequential path built %d states, want 1", len(built))
-	}
-	if !reflect.DeepEqual(order, []int{0, 1, 2, 3, 4}) {
-		t.Fatalf("sequential order = %v", order)
-	}
 }
 
 // TestOnJobDoneReportsEveryJob checks the progress hook fires exactly

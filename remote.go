@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"specdsm/internal/fault"
-	"specdsm/internal/machine"
 	"specdsm/internal/remote"
 	"specdsm/internal/sweep"
 )
@@ -92,17 +91,16 @@ func (rs remoteSpec) encode() ([]byte, error) {
 
 // NewRemoteRunner builds a shard-side job executor from a dispatcher's
 // study spec — the remote.Server.NewRunner for a sweepd worker. The
-// returned runner owns one simulation arena (the server builds a runner
-// per connection, so the arena needs no locking) and settles each job
-// under the same retry budget, fault-injection schedule, and backoff
+// returned runner settles each job under the same retry budget, fault-injection schedule, and backoff
 // the in-process pool would apply, which is what makes a job's outcome
 // — row bytes or failure text — independent of where it executes.
 //
 // An unknown study, an unparsable spec, or one that fails validation
-// (the StudyConfig checks, a negative resume offset, an empty or
-// non-positive study axis) is a construction error; the server refuses
-// the connection with the reason, so the dispatcher abandons this worker
-// instead of retrying a spec that cannot get better.
+// (the StudyConfig checks, the machine options checks, a negative resume
+// offset, an empty or non-positive study axis) is a construction error;
+// the server refuses the connection with the reason, so the dispatcher
+// abandons this worker instead of retrying a spec that cannot get
+// better.
 func NewRemoteRunner(spec []byte) (remote.Runner, error) {
 	var rs remoteSpec
 	if err := gob.NewDecoder(bytes.NewReader(spec)).Decode(&rs); err != nil {
@@ -160,13 +158,18 @@ func (rs remoteSpec) validate() error {
 	if rs.Study == "seeds" && len(rs.Seeds) == 0 {
 		return fmt.Errorf("specdsm: seeds study spec has no seeds")
 	}
+	if err := rs.Opts.validate(); err != nil {
+		return err
+	}
 	return rs.config().Validate()
 }
 
-// runnerFor wraps a study's job function as a remote.Runner: one arena,
-// a single-job pool carrying the spec's retry/fault policy, and gob
-// encoding of each settled row.
-func runnerFor[T any](rs remoteSpec, fn func(context.Context, *machine.Arena, int) (T, error)) (remote.Runner, error) {
+// runnerFor wraps a study's job function as a remote.Runner: a
+// single-job pool carrying the spec's retry/fault policy, and gob
+// encoding of each settled row. Its simulations draw on the process's
+// machine pool, so consecutive connections with one spec reuse the
+// machines the first one built.
+func runnerFor[T any](rs remoteSpec, fn func(context.Context, int) (T, error)) (remote.Runner, error) {
 	p := sweep.New(1)
 	p.Retries = rs.Retries
 	p.RetrySeed = uint64(rs.Seed)
@@ -177,11 +180,10 @@ func runnerFor[T any](rs remoteSpec, fn func(context.Context, *machine.Arena, in
 		}
 		p.Inject = inj
 	}
-	arena := machine.NewArena()
 	base := rs.Base
 	return remote.RunnerFunc(func(ctx context.Context, j int) ([]byte, error) {
-		v, err := sweep.RunOne(ctx, p, arena, j,
-			func(ctx context.Context, a *machine.Arena, j int) (T, error) { return fn(ctx, a, base+j) })
+		v, err := sweep.RunOne(ctx, p, j,
+			func(ctx context.Context, j int) (T, error) { return fn(ctx, base+j) })
 		if err != nil {
 			return nil, err
 		}
@@ -200,7 +202,7 @@ func runnerFor[T any](rs remoteSpec, fn func(context.Context, *machine.Arena, in
 // reach emit/fail strictly in index order, so a study cannot tell how
 // (or where) its jobs ran.
 func streamStudy[T any](cfg StudyConfig, rs remoteSpec, n int, extra string,
-	fn func(context.Context, *machine.Arena, int) (T, error),
+	fn func(context.Context, int) (T, error),
 	emit func(int, T) error, fail sweep.FailFunc) error {
 	ck, err := cfg.checkpoint(rs.Study, n, extra)
 	if err != nil {
@@ -212,10 +214,7 @@ func streamStudy[T any](cfg StudyConfig, rs remoteSpec, n int, extra string,
 	if err != nil {
 		return err
 	}
-	job := sweep.Job[*machine.Arena, T]{
-		N: n, NewState: machine.NewArena, Fn: fn,
-		Emit: emit, Fail: fail, Checkpoint: ck,
-	}
+	job := sweep.Job[T]{N: n, Fn: fn, Emit: emit, Fail: fail, Checkpoint: ck}
 	if len(cfg.Remote) > 0 {
 		job.Exec = streamRemote[T](cfg, rs)
 	}
@@ -235,7 +234,7 @@ func streamRemote[T any](cfg StudyConfig, rs remoteSpec) sweep.Executor[T] {
 			return err
 		}
 		// The degradation floor runs the exact worker-side code path —
-		// spec decode, per-runner arena, RunOne — so a sweep that falls
+		// spec decode, RunOne — so a sweep that falls
 		// back to local execution (dead fleet, poison job) is
 		// byte-identical to one a shard served.
 		local, err := NewRemoteRunner(spec)
@@ -288,14 +287,14 @@ func RunSweepStream(cfg StudyConfig, opts MachineOptions, emit func(i int, r *Ru
 
 // sweepJob builds the CLI sweep's job function: application i of
 // cfg.Apps simulated once under opts.
-func sweepJob(cfg StudyConfig, opts MachineOptions) func(context.Context, *machine.Arena, int) (*RunResult, error) {
+func sweepJob(cfg StudyConfig, opts MachineOptions) func(context.Context, int) (*RunResult, error) {
 	wp := cfg.workloadParams()
-	return func(_ context.Context, arena *machine.Arena, i int) (*RunResult, error) {
+	return func(_ context.Context, i int) (*RunResult, error) {
 		w, err := AppWorkload(cfg.Apps[i], wp)
 		if err != nil {
 			return nil, err
 		}
-		return runInArena(arena, w, opts)
+		return Run(w, opts)
 	}
 }
 

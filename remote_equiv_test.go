@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"specdsm"
+	"specdsm/internal/machine"
 	"specdsm/internal/remote"
 )
 
@@ -61,6 +62,36 @@ func TestRemotePredictorStudyMatchesLocal(t *testing.T) {
 	got := collect(rcfg)
 	if !reflect.DeepEqual(got, local) {
 		t.Fatalf("remote rows differ from local:\nremote: %+v\nlocal:  %+v", got, local)
+	}
+}
+
+// TestShardReusesMachinesAcrossConnections: one shard serves the same
+// predictor study to two consecutive dispatcher connections. The
+// study's one machine configuration (6 nodes, no other test uses it) is
+// built at most once, by the first connection; the second runs entirely
+// on pooled machines and returns the same rows.
+func TestShardReusesMachinesAcrossConnections(t *testing.T) {
+	cfg := equivCfg()
+	cfg.Nodes = 6
+	cfg.Remote = startWorkers(t, 1)
+	study := func() (rows []specdsm.AppPrediction, builds int) {
+		before, _ := machine.PoolStats()
+		if err := specdsm.PredictorStudyStream(cfg, func(_ int, row specdsm.AppPrediction) error {
+			rows = append(rows, row)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		after, _ := machine.PoolStats()
+		return rows, after - before
+	}
+	first, b1 := study()
+	second, b2 := study()
+	if b1 > 1 || b2 != 0 {
+		t.Errorf("the connections built %d and %d machines, want at most 1 and then 0", b1, b2)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("second connection's rows differ:\nfirst:  %+v\nsecond: %+v", first, second)
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 
 // TestNewRemoteRunnerRefusesBadSpecs: a shard worker validates the
 // spec it is handed and refuses a bad one at construction, with a
-// reason, instead of failing (or panicking) job by job.
+// reason, instead of failing (or panicking) job by job. Bad machine
+// options in a sweep spec are refused with the error a local Run gives.
 func TestNewRemoteRunnerRefusesBadSpecs(t *testing.T) {
 	good := StudyConfig{Apps: []string{"em3d"}, Scale: 0.1, Depths: []int{1}}.withDefaults()
 	cases := []struct {
@@ -34,6 +35,22 @@ func TestNewRemoteRunnerRefusesBadSpecs(t *testing.T) {
 			rs.Study, rs.RTLApp, rs.RTLFlights = "rtl", "em3d", []int{20, -5}
 		}, "non-positive axis entry -5"},
 		{"no seeds", func(rs *remoteSpec) { rs.Study = "seeds" }, "no seeds"},
+		{"unknown mode", func(rs *remoteSpec) { rs.Study, rs.Opts.Mode = "sweep", "turbo" }, `unknown mode "turbo"`},
+		{"unknown observer kind", func(rs *remoteSpec) {
+			rs.Study, rs.Opts.Observers = "sweep", []PredictorConfig{{Kind: "oracle", Depth: 1}}
+		}, `unknown predictor kind "oracle"`},
+		{"observer depth 0", func(rs *remoteSpec) {
+			rs.Study, rs.Opts.Observers = "sweep", []PredictorConfig{{Kind: MSP, Depth: 0}}
+		}, "observer depth 0 out of range"},
+		{"too many observers", func(rs *remoteSpec) {
+			rs.Study, rs.Opts.Observers = "sweep", make([]PredictorConfig, MaxObservers+1)
+		}, "65 observers, above the cap of 64"},
+		{"active depth too deep", func(rs *remoteSpec) {
+			rs.Study, rs.Opts.Mode, rs.Opts.Active = "sweep", ModeSWI, &PredictorConfig{Kind: VMSP, Depth: 99}
+		}, "active depth 99 out of range"},
+		{"negative capacity", func(rs *remoteSpec) { rs.Study, rs.Opts.CacheCapacity = "sweep", -1 }, "negative cache capacity -1"},
+		{"negative opts flight", func(rs *remoteSpec) { rs.Study, rs.Opts.NetworkFlight = "sweep", -2 }, "negative network flight latency -2"},
+		{"base spec upgrades", func(rs *remoteSpec) { rs.Study, rs.Opts.SpecUpgrades = "sweep", true }, "SpecUpgrades requires"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -46,6 +63,14 @@ func TestNewRemoteRunnerRefusesBadSpecs(t *testing.T) {
 			_, err = NewRemoteRunner(spec)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want a refusal mentioning %q", err, tc.want)
+			}
+			if rs.Study == "sweep" {
+				// The local path refuses the same options with the same
+				// error.
+				w := mustWorkload(t, "em3d", WorkloadParams{Nodes: 4, Scale: 0.1})
+				if _, lerr := Run(w, rs.Opts); lerr == nil || lerr.Error() != err.Error() {
+					t.Fatalf("local Run err = %v, want %v", lerr, err)
+				}
 			}
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"specdsm/internal/machine"
 	"specdsm/internal/report"
 )
 
@@ -100,16 +99,16 @@ func NodeScalingStudyStream(cfg StudyConfig, nodeCounts []int, emit func(i int, 
 // scalingJob builds the node-scaling study's job function: application
 // j/k at node count j%k of the axis, under SWI-DSM. Shared between the
 // in-process pool and remote workers.
-func scalingJob(cfg StudyConfig, nodeCounts []int) func(context.Context, *machine.Arena, int) (*RunResult, error) {
+func scalingJob(cfg StudyConfig, nodeCounts []int) func(context.Context, int) (*RunResult, error) {
 	k := len(nodeCounts)
-	return func(_ context.Context, arena *machine.Arena, j int) (*RunResult, error) {
+	return func(_ context.Context, j int) (*RunResult, error) {
 		wp := cfg.workloadParams()
 		wp.Nodes = nodeCounts[j%k]
 		w, err := AppWorkload(cfg.Apps[j/k], wp)
 		if err != nil {
 			return nil, err
 		}
-		return runInArena(arena, w, MachineOptions{Mode: ModeSWI, DisableChecks: cfg.DisableChecks})
+		return Run(w, MachineOptions{Mode: ModeSWI, DisableChecks: cfg.DisableChecks})
 	}
 }
 

@@ -279,73 +279,108 @@ func (r *RunResult) RequestShare() float64 {
 	return float64(r.RequestWaitCycles) / float64(total)
 }
 
+// MaxObservers caps MachineOptions.Observers. A pooled machine keeps
+// every predictor table it was built with, so the cap bounds what one
+// options value — a remote study spec's included — can make a process
+// retain.
+const MaxObservers = 64
+
+// validate refuses options no machine is built from: more than
+// MaxObservers observers, a negative cache capacity or flight latency,
+// an unknown mode or predictor kind, a depth outside [1, core.MaxDepth],
+// or SpecUpgrades without an active predictor. buildConfig and the
+// remote spec check share it, so a shard refuses a bad sweep spec at
+// the handshake with the error each local job would report.
+func (o MachineOptions) validate() error {
+	if o.CacheCapacity < 0 {
+		return fmt.Errorf("specdsm: negative cache capacity %d", o.CacheCapacity)
+	}
+	if o.NetworkFlight < 0 {
+		return fmt.Errorf("specdsm: negative network flight latency %d", o.NetworkFlight)
+	}
+	if len(o.Observers) > MaxObservers {
+		return fmt.Errorf("specdsm: %d observers, above the cap of %d", len(o.Observers), MaxObservers)
+	}
+	for _, p := range o.Observers {
+		if err := p.check("observer"); err != nil {
+			return err
+		}
+	}
+	switch o.Mode {
+	case "", ModeBase:
+		if o.SpecUpgrades {
+			return fmt.Errorf("specdsm: SpecUpgrades requires an active predictor mode")
+		}
+	case ModeFR, ModeSWI:
+		if o.Active != nil {
+			return o.Active.check("active")
+		}
+	default:
+		return fmt.Errorf("specdsm: unknown mode %q", o.Mode)
+	}
+	return nil
+}
+
+// check refuses an unknown kind or a depth outside [1, core.MaxDepth];
+// role names the predictor in the error.
+func (c PredictorConfig) check(role string) error {
+	if _, err := c.Kind.kind(); err != nil {
+		return err
+	}
+	if c.Depth < 1 || c.Depth > core.MaxDepth {
+		return fmt.Errorf("specdsm: %s depth %d out of range [1,%d]", role, c.Depth, core.MaxDepth)
+	}
+	return nil
+}
+
+// spec is c as a machine predictor spec; call on a checked config.
+func (c PredictorConfig) spec() machine.PredictorSpec {
+	k, _ := c.Kind.kind()
+	return machine.PredictorSpec{Kind: k, Depth: c.Depth, Confidence: c.Confidence}
+}
+
 // buildConfig translates public options into a machine configuration.
 func buildConfig(w Workload, opts MachineOptions) (machine.Config, Mode, error) {
+	if err := opts.validate(); err != nil {
+		return machine.Config{}, "", err
+	}
 	cfg := machine.Config{
 		Nodes:                 w.Nodes,
 		DisableCoherenceCheck: opts.DisableChecks,
 		EnableSpecUpgrade:     opts.SpecUpgrades,
 		CacheCapacity:         opts.CacheCapacity,
 	}
-	if opts.CacheCapacity < 0 {
-		return cfg, "", fmt.Errorf("specdsm: negative cache capacity %d", opts.CacheCapacity)
-	}
 	if opts.NetworkFlight != 0 {
-		if opts.NetworkFlight < 0 {
-			return cfg, "", fmt.Errorf("specdsm: negative network flight latency %d", opts.NetworkFlight)
-		}
 		nc := network.DefaultConfig()
 		nc.FlightLatency = sim.Cycle(opts.NetworkFlight)
 		cfg.NetCfg = nc
 	}
-	var specs []machine.PredictorSpec
 	for _, o := range opts.Observers {
-		k, err := o.Kind.kind()
-		if err != nil {
-			return cfg, "", err
-		}
-		if o.Depth < 1 || o.Depth > core.MaxDepth {
-			return cfg, "", fmt.Errorf("specdsm: observer depth %d out of range [1,%d]", o.Depth, core.MaxDepth)
-		}
-		specs = append(specs, machine.PredictorSpec{Kind: k, Depth: o.Depth, Confidence: o.Confidence})
+		cfg.Observers = append(cfg.Observers, o.spec())
 	}
-	cfg.Observers = specs
-
 	mode := opts.Mode
 	if mode == "" {
 		mode = ModeBase
 	}
-	switch mode {
-	case ModeBase:
-		if opts.SpecUpgrades {
-			return cfg, "", fmt.Errorf("specdsm: SpecUpgrades requires an active predictor mode")
-		}
-	case ModeFR:
-		cfg.EnableFR = true
-	case ModeSWI:
-		cfg.EnableFR = true
-		cfg.EnableSWI = true
-	default:
-		return cfg, "", fmt.Errorf("specdsm: unknown mode %q", mode)
-	}
 	if mode != ModeBase {
+		cfg.EnableFR = true
+		cfg.EnableSWI = mode == ModeSWI
 		active := PredictorConfig{Kind: VMSP, Depth: 1}
 		if opts.Active != nil {
 			active = *opts.Active
 		}
-		k, err := active.Kind.kind()
-		if err != nil {
-			return cfg, "", err
-		}
-		if active.Depth < 1 || active.Depth > core.MaxDepth {
-			return cfg, "", fmt.Errorf("specdsm: active depth %d out of range [1,%d]", active.Depth, core.MaxDepth)
-		}
-		cfg.Active = &machine.PredictorSpec{Kind: k, Depth: active.Depth, Confidence: active.Confidence}
+		spec := active.spec()
+		cfg.Active = &spec
 	}
 	return cfg, mode, nil
 }
 
-// Run simulates the workload on a machine configured by opts.
+// Run simulates the workload on a machine configured by opts. The
+// machine comes from a process-wide pool: it is built on the first run
+// of its configuration and re-armed in place for later ones, so studies
+// pay construction once per distinct configuration. Results are
+// identical to a freshly built machine's (the reset-equivalence tests
+// pin this), and Run is safe for concurrent use.
 func Run(w Workload, opts MachineOptions) (*RunResult, error) {
 	if len(w.programs) == 0 {
 		return nil, fmt.Errorf("specdsm: empty workload")
@@ -354,29 +389,7 @@ func Run(w Workload, opts MachineOptions) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := machine.New(cfg)
-	res, err := m.Run(w.programs)
-	if err != nil {
-		return nil, fmt.Errorf("specdsm: %s/%s: %w", w.Name, mode, err)
-	}
-	return convert(w, mode, cfg, res), nil
-}
-
-// runInArena is Run against a worker-local run arena: the simulated
-// machine for the options' configuration is built once per arena and
-// re-armed in place for every subsequent run, so a sweep worker pays
-// machine construction once per distinct configuration instead of once
-// per job. Results are identical to Run (the arena reset-equivalence
-// tests pin this).
-func runInArena(a *machine.Arena, w Workload, opts MachineOptions) (*RunResult, error) {
-	if len(w.programs) == 0 {
-		return nil, fmt.Errorf("specdsm: empty workload")
-	}
-	cfg, mode, err := buildConfig(w, opts)
-	if err != nil {
-		return nil, err
-	}
-	res, err := a.Run(cfg, w.programs)
+	res, err := machine.Run(cfg, w.programs)
 	if err != nil {
 		return nil, fmt.Errorf("specdsm: %s/%s: %w", w.Name, mode, err)
 	}

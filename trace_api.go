@@ -73,13 +73,10 @@ func evaluateTrace(tr *trace.Trace, configs []PredictorConfig) ([]PredictorResul
 	var preds []core.Predictor
 	var specs []machine.PredictorSpec
 	for _, c := range configs {
-		k, err := c.Kind.kind()
-		if err != nil {
+		if err := c.check("predictor"); err != nil {
 			return nil, TraceSummary{}, err
 		}
-		if c.Depth < 1 || c.Depth > core.MaxDepth {
-			return nil, TraceSummary{}, fmt.Errorf("specdsm: predictor depth %d out of range [1,%d]", c.Depth, core.MaxDepth)
-		}
+		k, _ := c.Kind.kind()
 		nodes := tr.Nodes
 		if nodes < mem.InlineNodes {
 			nodes = mem.InlineNodes
