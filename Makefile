@@ -201,7 +201,7 @@ bench-check:
 
 # bench-ab compares the repository benchmark (perfbench, BENCHMARK.json)
 # on revision BASE and on the working tree, on this host: PAIRS pairs of
-# `perfbench/run.sh --workload WORKLOAD --seed 1 --seconds 10 --trace 0`
+# `perfbench/run.sh --workload WORKLOAD --seed SEED --seconds 10 --trace 0`
 # in alternating order, BASE exported with git archive under
 # .bench_build/. It fails if any run is incorrect or failed jobs, and
 # prints, for each end-to-end metric, both medians, the pairs head won,
@@ -210,8 +210,9 @@ bench-check:
 BASE ?= HEAD
 WORKLOAD ?= remote-2shard
 PAIRS ?= 10
+SEED ?= 1
 bench-ab:
-	bash scripts/bench-ab.sh $(BASE) $(WORKLOAD) $(PAIRS)
+	bash scripts/bench-ab.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SEED)
 
 # profile runs the full-scale reproduction under -cpuprofile/-memprofile
 # (single worker, so the profile samples the simulator rather than the

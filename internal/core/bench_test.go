@@ -53,8 +53,7 @@ func BenchmarkObserveColdBlocks(b *testing.B) {
 	p := NewMSP(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		addr := mem.MakeAddr(mem.NodeID(i%16), uint64(i))
-		p.Observe(addr, Observation{Type: MsgRead, Node: mem.NodeID(i % 16)})
+		p.Observe(BlockID(i), Observation{Type: MsgRead, Node: mem.NodeID(i % 16)})
 	}
 }
 

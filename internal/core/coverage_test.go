@@ -139,7 +139,7 @@ func TestAssumeReadersEdgeCases(t *testing.T) {
 		t.Fatalf("write after assumed reader should hit the learned pattern: %+v", out)
 	}
 	// Retract on a cold predictor is a no-op.
-	NewVMSP(1).RetractReader(mem.MakeAddr(5, 5), 1)
+	NewVMSP(1).RetractReader(55, 1)
 }
 
 func TestObservationStringForms(t *testing.T) {

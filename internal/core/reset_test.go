@@ -11,20 +11,19 @@ import (
 // retain across Reset: plain producer/consumer cycles, read re-ordering,
 // migratory write chains, untracked acks, and multiple blocks.
 func resetWorkload() []struct {
-	addr mem.BlockAddr
-	obs  Observation
+	id  BlockID
+	obs Observation
 } {
-	a := mem.MakeAddr(0, 0x10)
-	b := mem.MakeAddr(1, 0x20)
+	const a, b BlockID = 0, 3
 	var seq []struct {
-		addr mem.BlockAddr
-		obs  Observation
+		id  BlockID
+		obs Observation
 	}
-	add := func(addr mem.BlockAddr, o Observation) {
+	add := func(id BlockID, o Observation) {
 		seq = append(seq, struct {
-			addr mem.BlockAddr
-			obs  Observation
-		}{addr, o})
+			id  BlockID
+			obs Observation
+		}{id, o})
 	}
 	for i := 0; i < 6; i++ {
 		add(a, obs(MsgUpgrade, 3))
@@ -45,16 +44,14 @@ func resetWorkload() []struct {
 
 // snapshot captures every externally observable surface of a predictor.
 func snapshot(p *TwoLevel) string {
-	a := mem.MakeAddr(0, 0x10)
-	b := mem.MakeAddr(1, 0x20)
 	s := fmt.Sprintf("stats=%+v census=%+v", p.Stats(), p.Census())
-	for _, addr := range []mem.BlockAddr{a, b} {
-		sym, ok := p.PredictNext(addr)
-		s += fmt.Sprintf(" next(%v)=%v,%v", addr, sym, ok)
-		rp, ok := p.PredictReaders(addr)
-		s += fmt.Sprintf(" readers(%v)=%v,%v", addr, rp.Readers, ok)
-		s += fmt.Sprintf(" swi(%v)=%v", addr, p.SWIAllowed(addr))
-		s += fmt.Sprintf(" upg(%v)=%v", addr, p.PredictsUpgradeBy(addr, 1))
+	for _, id := range []BlockID{0, 3} {
+		sym, ok := p.PredictNext(id)
+		s += fmt.Sprintf(" next(%v)=%v,%v", id, sym, ok)
+		rp, ok := p.PredictReaders(id)
+		s += fmt.Sprintf(" readers(%v)=%v,%v", id, rp.Readers, ok)
+		s += fmt.Sprintf(" swi(%v)=%v", id, p.SWIAllowed(id))
+		s += fmt.Sprintf(" upg(%v)=%v", id, p.PredictsUpgradeBy(id, 1))
 	}
 	return s
 }
@@ -73,9 +70,9 @@ func TestResetThenReuseEquivalentToFresh(t *testing.T) {
 				// Dirty the reused predictor with a different stream, then
 				// Reset it.
 				for i := 0; i < 40; i++ {
-					reused.Observe(mem.MakeAddr(2, uint64(i%5)),
+					reused.Observe(BlockID(4+i%5),
 						obs(MsgWrite, mem.NodeID(i%7)))
-					reused.Observe(mem.MakeAddr(2, uint64(i%5)),
+					reused.Observe(BlockID(4+i%5),
 						obs(MsgRead, mem.NodeID((i+1)%7)))
 				}
 				reused.Reset()
@@ -87,8 +84,8 @@ func TestResetThenReuseEquivalentToFresh(t *testing.T) {
 				}
 
 				for i, m := range resetWorkload() {
-					of := fresh.Observe(m.addr, m.obs)
-					or := reused.Observe(m.addr, m.obs)
+					of := fresh.Observe(m.id, m.obs)
+					or := reused.Observe(m.id, m.obs)
 					if of != or {
 						t.Fatalf("message %d: fresh %+v vs reset-reused %+v", i, of, or)
 					}
@@ -146,7 +143,7 @@ func TestResetReusesStorage(t *testing.T) {
 	seq := resetWorkload()
 	work := func() {
 		for _, m := range seq {
-			p.Observe(m.addr, m.obs)
+			p.Observe(m.id, m.obs)
 		}
 	}
 	work()

@@ -7,31 +7,28 @@ import "specdsm/internal/mem"
 // A pattern entry used to be a 40-byte struct (predicted Symbol, 2-bit
 // confidence, SWI premature bit, uses/hits instrumentation) behind a Go
 // map with 48-byte keys. The hot surfaces — Observe's score-and-learn,
-// PredictReaders, PredictNext — read only the predicted symbol and the
-// confidence bits, so the store splits each entry across parallel arrays
-// keyed by one int32 index:
+// PredictReaders, PredictNext — read only the predicted symbol, the
+// confidence bits and the successor link, so the store splits each
+// entry across parallel arrays keyed by one int32 index:
 //
 //   - hot:  the predicted symbol (vec holds the reader vector, tn the
 //     packed (type, node) pair — a zero low byte means MsgInvalid, i.e.
-//     "no prediction") plus the meta byte (2-bit confidence counter and
-//     the SWI premature bit). 16 bytes — everything a score, predict, or
-//     confidence update touches, in one cache-line-friendly record.
-//   - keys: the (addr, packed history) identity of the entry, read only
+//     "no prediction"), the successor link, and the meta byte (2-bit
+//     confidence counter and the SWI premature bit). 16 bytes —
+//     everything a score, predict, confidence update or link step
+//     touches, in one cache-line-friendly record.
+//   - keys: the (block, packed history) identity of the entry, read only
 //     to confirm a probe match.
-//   - stats: uses/hits instrumentation (learning-speed analysis), off
-//     every predict path. It is write-hot on Observe but never read
-//     there, so keeping it out of keys preserves the probe path's
-//     read-only cache lines.
 //
 // The fast path therefore drags 16 hot bytes per entry through the cache
 // instead of the whole record. Indices are stable across growth
 // (append-only slices), which is what SWIGuard and ReadPrediction
-// handles rely on; gen counts Resets so stale handles degrade to no-ops.
+// handles and successor links rely on; gen counts Resets so stale
+// handles degrade to no-ops.
 type entryStore struct {
-	keys  []patternKey
-	hot   []entryHot
-	stats []entryStats
-	gen   uint32
+	keys []patternKey
+	hot  []entryHot
+	gen  uint32
 	// vecs is the reader-vector interner, non-nil only on wide predictors
 	// (machines with more than mem.InlineNodes nodes). Narrow predictors
 	// store the vector's inline word directly in entryHot.vec/patKey.vec —
@@ -71,17 +68,20 @@ func (s *entryStore) vecAt(id uint64) mem.ReaderVec {
 
 // entryHot packs the per-entry words every scoring/predict path reads.
 type entryHot struct {
-	vec  uint64
+	vec uint64
+	// succ links the entry to its successor: 1 + the index of the entry
+	// for this entry's history with its current prediction pushed, 0 when
+	// that entry is unknown, succPending when the block that advanced
+	// past this entry will set the link on its next lookup. Every change
+	// of the prediction resets it to 0.
+	succ int32
 	tn   uint16
 	meta uint8
 }
 
-// entryStats instruments per-entry reuse; nothing on a predict or score
-// path reads it, so it lives in its own cold array.
-type entryStats struct {
-	uses uint64
-	hits uint64
-}
+// succPending marks an entry whose successor link its block will set as
+// soon as it learns the index of its current history's entry.
+const succPending = -1
 
 // meta byte layout: bits 0-1 hold the saturating confidence counter,
 // bit 2 the SWI premature ("noSWI") bit.
@@ -96,9 +96,11 @@ const confMax = 3
 // alloc appends a new entry predicting (tn, vid) for key and returns its
 // index. tn/vid are the pack()/vecID packings of the predicted symbol.
 func (s *entryStore) alloc(key patternKey, tn uint16, vid uint64) int32 {
+	if len(s.keys) >= patIdxMask {
+		panic("core: pattern table exceeds 2^24-1 entries")
+	}
 	s.keys = append(s.keys, key)
 	s.hot = append(s.hot, entryHot{tn: tn, vec: vid})
-	s.stats = append(s.stats, entryStats{})
 	return int32(len(s.keys) - 1)
 }
 
@@ -116,15 +118,18 @@ func (s *entryStore) pred(i int32) Symbol {
 }
 
 // setPred replaces entry i's predicted symbol with the packed (tn, vid).
+// A different symbol has a different successor, so it drops the link.
 func (s *entryStore) setPred(i int32, tn uint16, vid uint64) {
-	s.hot[i].tn = tn
-	s.hot[i].vec = vid
+	if h := &s.hot[i]; h.tn != tn || h.vec != vid {
+		h.tn, h.vec, h.succ = tn, vid, 0
+	}
 }
 
-// clearPred erases entry i's prediction (MsgInvalid, empty vector).
+// clearPred erases entry i's prediction (MsgInvalid, empty vector) and
+// its successor link.
 func (s *entryStore) clearPred(i int32) {
-	s.hot[i].tn = 0
-	s.hot[i].vec = 0
+	h := &s.hot[i]
+	h.tn, h.vec, h.succ = 0, 0, 0
 }
 
 // predValid reports whether entry i holds a real prediction (the packed
@@ -151,7 +156,6 @@ func (s *entryStore) confDown(i int32) {
 func (s *entryStore) reset() {
 	s.keys = s.keys[:0]
 	s.hot = s.hot[:0]
-	s.stats = s.stats[:0]
 	s.gen++
 	if s.vecs != nil {
 		s.vecs.reset()
@@ -244,24 +248,24 @@ func (t *vecIntern) reset() {
 	t.vecs = t.vecs[:0]
 }
 
-// patTable is the open-addressed (addr, history) → entry-index table that
-// replaced the predictor-wide Go map. Entry keys live in the store's keys
-// array; each occupied slot packs an 8-bit hash tag over the entry index
-// + 1 (0 meaning empty), so a probe walks a dense uint32 slot array,
+// patTable is the open-addressed (block, history) → entry-index table
+// that replaced the predictor-wide Go map. Entry keys live in the store's
+// keys array; each occupied slot packs an 8-bit hash tag over the entry
+// index + 1 (0 meaning empty), so a probe walks a dense uint32 slot array,
 // rejects ~255/256 of colliding slots on the tag byte alone, and touches
 // one 48-byte key for the final confirm — no per-lookup hashing of the
 // key through the runtime map machinery, and almost never more than one
 // full-key comparison. The table is insert-only (patterns are never
 // unlearned; Prune only clears an entry's prediction in place), which is
-// what makes linear probing with clear-but-retain reset safe, mirroring
-// mem.BlockMap's discipline at the block level.
+// what makes linear probing with clear-but-retain reset safe, and what
+// lets a successor link stand in for a lookup: once found, a key's entry
+// index never changes until Reset.
 type patTable struct {
 	slots []uint32
-	n     int
 	// vecKeys selects whether the hash mixes the per-slot reader-vector
 	// words. Only VMSP read-run symbols set them (see the patKey
 	// commentary); for Cosmos/MSP they are always zero, so hashing
-	// addr+tn alone is a complete discriminator at half the cost. The
+	// id+tn alone is a complete discriminator at half the cost. The
 	// slot layout is internal to the table, so the hash choice cannot
 	// affect any observable result.
 	vecKeys bool
@@ -273,17 +277,16 @@ const (
 	patTagShift = 24
 )
 
-// patTableInitial is the slot count allocated on first insert, sized so a
-// typical per-node working set (see New's pre-sizing) never rehashes.
+// patTableInitial is the slot count allocated on first insert.
 const patTableInitial = 512
 
 // hash mixes the key's words into one well-spread value with
 // multiply-xorshift rounds (splitmix64's building block) rather than a
 // sum: histories differ in few bits — often one symbol slot. Each word
-// gets its own round, addr included: folding two raw words into one
-// round would let (addr, tn) and (addr^x, tn^x) collide on hash and tag.
+// gets its own round, the block id included: folding two raw words into
+// one round would let (id, tn) and (id^x, tn^x) collide on hash and tag.
 func (t *patTable) hash(pk *patternKey) uint64 {
-	h := (uint64(pk.addr) ^ 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
+	h := (uint64(uint32(pk.id)) ^ 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
 	h ^= h >> 29
 	h = (h ^ pk.key.tn) * 0x94d049bb133111eb
 	h ^= h >> 32
@@ -299,11 +302,11 @@ func (t *patTable) hash(pk *patternKey) uint64 {
 }
 
 // lookup returns the index of pk's entry in store, if present.
-func (t *patTable) lookup(store *entryStore, pk patternKey) (int32, bool) {
+func (t *patTable) lookup(store *entryStore, pk *patternKey) (int32, bool) {
 	if len(t.slots) == 0 {
 		return 0, false
 	}
-	h := t.hash(&pk)
+	h := t.hash(pk)
 	want := uint32(h>>56) << patTagShift
 	mask := uint64(len(t.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
@@ -312,35 +315,48 @@ func (t *patTable) lookup(store *entryStore, pk patternKey) (int32, bool) {
 			return 0, false
 		}
 		if s&^uint32(patIdxMask) == want {
-			if idx := int32(s&patIdxMask) - 1; store.keys[idx] == pk {
+			if idx := int32(s&patIdxMask) - 1; store.keys[idx] == *pk {
 				return idx, true
 			}
 		}
 	}
 }
 
-// insert maps pk (already allocated in store at idx) into the table.
-// Callers must have checked pk is absent; duplicates would shadow.
-func (t *patTable) insert(store *entryStore, pk patternKey, idx int32) {
-	if idx >= patIdxMask {
-		panic("core: pattern table exceeds 2^24-1 entries")
+// reserve returns the index of pk's entry, first allocating it in store
+// with prediction (tn, vid) if absent, in one probe sequence: the
+// get-or-insert that mem.BlockMap.Reserve is for blocks. created reports
+// whether this call allocated the entry.
+func (t *patTable) reserve(store *entryStore, pk *patternKey, tn uint16, vid uint64) (idx int32, created bool) {
+	h := t.hash(pk)
+	tag := uint32(h>>56) << patTagShift
+	if len(t.slots) > 0 {
+		mask := uint64(len(t.slots) - 1)
+		for i := h & mask; ; i = (i + 1) & mask {
+			s := t.slots[i]
+			if s == 0 {
+				if len(t.slots)*3 < (store.len()+1)*4 { // beyond 3/4 load: grow below
+					break
+				}
+				idx = store.alloc(*pk, tn, vid)
+				t.slots[i] = tag | uint32(idx+1)
+				return idx, true
+			}
+			if s&^uint32(patIdxMask) == tag {
+				if idx := int32(s&patIdxMask) - 1; store.keys[idx] == *pk {
+					return idx, false
+				}
+			}
+		}
 	}
-	if len(t.slots)*3 < (t.n+1)*4 { // grow beyond 3/4 load
-		t.grow(store)
-	}
-	h := t.hash(&pk)
-	mask := uint64(len(t.slots) - 1)
-	i := h & mask
-	for t.slots[i] != 0 {
-		i = (i + 1) & mask
-	}
-	t.slots[i] = uint32(h>>56)<<patTagShift | uint32(idx+1)
-	t.n++
+	idx = store.alloc(*pk, tn, vid)
+	t.grow(store)
+	return idx, true
 }
 
 // grow doubles the slot array (or allocates the initial one) and
-// reinserts every entry. Entry indices are values, so rehashing moves
-// nothing a handle can observe.
+// reinserts every entry of store, the one reserve just allocated
+// included. Entry indices are values, so rehashing moves nothing a
+// handle or link can observe.
 func (t *patTable) grow(store *entryStore) {
 	newLen := patTableInitial
 	if len(t.slots) > 0 {
@@ -361,5 +377,4 @@ func (t *patTable) grow(store *entryStore) {
 // reset empties the table, retaining its slot storage.
 func (t *patTable) reset() {
 	clear(t.slots)
-	t.n = 0
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"specdsm/internal/mem"
 )
@@ -70,9 +71,11 @@ type patKey struct {
 // oldest symbol when full. It returns the new symbol count.
 func (k *patKey) push(tn uint16, vid uint64, have, depth int) int {
 	if have == depth {
+		// Slots from depth on are zero, so shifting all MaxDepth slots
+		// equals shifting the first depth, as fixed-size moves rather
+		// than a variable-length copy.
 		k.tn >>= 16
-		copy(k.vec[:depth-1], k.vec[1:depth])
-		k.vec[depth-1] = 0
+		k.vec = [MaxDepth]uint64{k.vec[1], k.vec[2], k.vec[3]}
 		have--
 	}
 	k.tn |= uint64(tn) << (16 * uint(have))
@@ -86,25 +89,33 @@ func (k *patKey) push(tn uint16, vid uint64, have, depth int) int {
 // every block's patterns into one predictor-wide table is what lets Reset
 // reuse all storage without per-block containers.
 type patternKey struct {
-	addr mem.BlockAddr
-	key  patKey
+	id  BlockID
+	key patKey
 }
 
-// noEntry marks an empty entry reference (blockState.lastWrite).
-const noEntry int32 = -1
-
-// blockState holds the per-block history register.
+// blockState holds the per-block history register. Its zero value is a
+// block that has seen nothing, so blockStates can grow by zeroed records.
+// Entry references are 1 + the entry index, 0 meaning none.
 type blockState struct {
 	// key is the packed history, maintained incrementally by push.
 	key patKey
 	// n is the number of symbols currently in the history (≤ depth).
 	n uint8
+	// live is set on the block's first tracked touch (Census.Blocks).
+	live bool
 	// open is the read run accumulated since the last non-read symbol
 	// (VMSP only).
 	open mem.ReaderVec
-	// lastWrite indexes the entry whose prediction recorded the block's
-	// most recent write/upgrade; it carries the SWI premature bit.
+	// lastWrite references the entry whose prediction recorded the
+	// block's most recent write/upgrade; it carries the SWI premature bit.
 	lastWrite int32
+	// cur references the entry for the current history, 0 while it is
+	// unknown (it may not exist yet).
+	cur int32
+	// pend references the entry whose succ is succPending: the one the
+	// history last advanced past without a link. The next lookup of the
+	// current history sets its link. Non-zero only while cur is 0.
+	pend int32
 }
 
 func (bs *blockState) push(tn uint16, vid uint64, depth int) {
@@ -116,10 +127,10 @@ func (bs *blockState) push(tn uint16, vid uint64, depth int) {
 type TwoLevel struct {
 	kind  Kind
 	depth int
-	// blocks maps a block to its index in blockStates; both containers
-	// are retained (cleared, not reallocated) across Reset.
-	blocks      mem.BlockMap
+	// blockStates is indexed by BlockID and grows on demand; Reset
+	// truncates it, retaining the storage. blocks counts its live records.
 	blockStates []blockState
+	blocks      int
 	// table is the single predictor-wide pattern table over store's
 	// structure-of-arrays entries.
 	table patTable
@@ -217,8 +228,8 @@ func (p *TwoLevel) Stats() Stats { return p.stats }
 // methods become no-ops (a generation check keeps them from touching the
 // reused tables).
 func (p *TwoLevel) Reset() {
-	p.blocks.Reset()
 	p.blockStates = p.blockStates[:0]
+	p.blocks = 0
 	p.table.reset()
 	p.store.reset()
 	p.stats = Stats{}
@@ -237,40 +248,96 @@ func (p *TwoLevel) tracks(t MsgType) bool {
 	return t.IsRequest()
 }
 
-// block returns the state for addr, allocating it on first touch. The
+// block returns the state for id, marking it live on first touch. The
 // returned pointer is valid until the next block call (slice growth).
-func (p *TwoLevel) block(addr mem.BlockAddr) *blockState {
-	idx, created := p.blocks.Reserve(addr, int32(len(p.blockStates)))
-	if created {
-		p.blockStates = append(p.blockStates, blockState{lastWrite: noEntry})
+func (p *TwoLevel) block(id BlockID) *blockState {
+	if n := len(p.blockStates); int(id) >= n {
+		p.blockStates = slices.Grow(p.blockStates, int(id)+1-n)[:id+1]
+		clear(p.blockStates[n:])
 	}
-	return &p.blockStates[idx]
+	bs := &p.blockStates[id]
+	if !bs.live {
+		bs.live = true
+		p.blocks++
+	}
+	return bs
 }
 
-// lookup returns the state for addr without allocating.
-func (p *TwoLevel) lookup(addr mem.BlockAddr) *blockState {
-	idx, ok := p.blocks.Get(addr)
-	if !ok {
+// lookup returns the state for id without growing blockStates; a block
+// never touched reads as its zero state or nil.
+func (p *TwoLevel) lookup(id BlockID) *blockState {
+	if int(id) >= len(p.blockStates) {
 		return nil
 	}
-	return &p.blockStates[idx]
+	return &p.blockStates[id]
+}
+
+// settle records idx as the entry for bs's current history and sets the
+// link of the entry that was waiting for it.
+func (p *TwoLevel) settle(bs *blockState, idx int32) {
+	bs.cur = idx + 1
+	if bs.pend != 0 {
+		if h := &p.store.hot[bs.pend-1]; h.succ == succPending {
+			h.succ = idx + 1
+		}
+		bs.pend = 0
+	}
+}
+
+// find returns the entry for bs's current history, if it exists: cur
+// when known, else one table lookup.
+func (p *TwoLevel) find(id BlockID, bs *blockState) (int32, bool) {
+	if bs.cur != 0 {
+		return bs.cur - 1, true
+	}
+	idx, ok := p.table.lookup(p.store, &patternKey{id, bs.key})
+	if ok {
+		p.settle(bs, idx)
+	}
+	return idx, ok
+}
+
+// current returns the entry for bs's current history like find, but
+// allocates it predicting the packed (tn, vid) if it does not exist yet;
+// created reports that it did not.
+func (p *TwoLevel) current(id BlockID, bs *blockState, tn uint16, vid uint64) (idx int32, created bool) {
+	if bs.cur != 0 {
+		return bs.cur - 1, false
+	}
+	idx, created = p.table.reserve(p.store, &patternKey{id, bs.key}, tn, vid)
+	p.settle(bs, idx)
+	return idx, created
+}
+
+// advance pushes (tn, vid) — entry idx's prediction — onto bs's history
+// and moves cur along idx's successor link; if the link is unknown, idx
+// waits for the next lookup to set it.
+func (p *TwoLevel) advance(bs *blockState, idx int32, tn uint16, vid uint64) {
+	bs.push(tn, vid, p.depth)
+	h := &p.store.hot[idx]
+	if h.succ > 0 {
+		bs.cur = h.succ
+		return
+	}
+	h.succ = succPending
+	bs.cur, bs.pend = 0, idx+1
 }
 
 // Observe implements Predictor. Messages must be fed in directory arrival
 // order; each tracked message is scored exactly once against the
 // prediction in effect when it arrived, then learned.
-func (p *TwoLevel) Observe(addr mem.BlockAddr, obs Observation) Outcome {
+func (p *TwoLevel) Observe(id BlockID, obs Observation) Outcome {
 	if !p.tracks(obs.Type) {
 		return Outcome{}
 	}
-	bs := p.block(addr)
+	bs := p.block(id)
 
 	if p.kind == KindVMSP {
-		return p.observeVMSP(addr, bs, obs)
+		return p.observeVMSP(id, bs, obs)
 	}
 
 	sym := Symbol{Type: obs.Type, Node: obs.Node}
-	out := p.scoreAndLearn(addr, bs, sym)
+	out := p.scoreAndLearn(id, bs, sym)
 	p.stats.add(out)
 	return out
 }
@@ -279,21 +346,19 @@ func (p *TwoLevel) Observe(addr mem.BlockAddr, obs Observation) Outcome {
 // scored by membership in the predicted vector; a non-read first closes
 // any open run (recording the complete vector as one history symbol) and
 // is then scored as an ordinary symbol.
-func (p *TwoLevel) observeVMSP(addr mem.BlockAddr, bs *blockState, obs Observation) Outcome {
+func (p *TwoLevel) observeVMSP(id BlockID, bs *blockState, obs Observation) Outcome {
 	if obs.Type == MsgRead {
 		out := Outcome{Tracked: true}
-		if idx, ok := p.table.lookup(p.store, patternKey{addr, bs.key}); ok {
+		if idx, ok := p.find(id, bs); ok {
 			s := p.store
 			if s.predValid(idx) {
 				out.Predicted = true
-				s.stats[idx].uses++
 				h := &s.hot[idx]
 				// A read type with Node 0 is how a vector symbol packs,
 				// but membership is what scores a VMSP read.
 				if tnType(h.tn) == MsgRead &&
 					s.vecAt(h.vec).Has(obs.Node) && !bs.open.Has(obs.Node) {
 					out.Correct = true
-					s.stats[idx].hits++
 					s.confUp(idx)
 				} else {
 					s.confDown(idx)
@@ -310,70 +375,58 @@ func (p *TwoLevel) observeVMSP(addr mem.BlockAddr, bs *blockState, obs Observati
 	// were already scored; recording is scoreless.
 	if !bs.open.Empty() {
 		vec := Symbol{Type: MsgRead, Vec: bs.open}
-		p.learn(addr, bs, vec)
+		p.learn(id, bs, vec)
 		bs.open = mem.ReaderVec{}
 	}
 	sym := Symbol{Type: obs.Type, Node: obs.Node}
-	out := p.scoreAndLearn(addr, bs, sym)
+	out := p.scoreAndLearn(id, bs, sym)
 	p.stats.add(out)
 	return out
 }
 
 // scoreAndLearn scores sym against the entry for the current history, then
 // records sym as that history's new prediction and pushes it.
-func (p *TwoLevel) scoreAndLearn(addr mem.BlockAddr, bs *blockState, sym Symbol) Outcome {
+func (p *TwoLevel) scoreAndLearn(id BlockID, bs *blockState, sym Symbol) Outcome {
 	out := Outcome{Tracked: true}
-	tn, vid := sym.pack(), p.store.vecID(sym.Vec)
-	pk := patternKey{addr, bs.key}
-	idx, ok := p.table.lookup(p.store, pk)
-	if ok {
-		s := p.store
-		if s.predValid(idx) {
-			out.Predicted = true
-			s.stats[idx].uses++
-			// Packed equality: (type, node) word and vector word match ⟺
-			// Symbol.Equal, since pack() and vecID are bijections.
-			if h := &s.hot[idx]; h.tn == tn && h.vec == vid {
-				out.Correct = true
-				s.stats[idx].hits++
-				s.confUp(idx)
-			} else {
-				s.confDown(idx)
-			}
+	s := p.store
+	tn, vid := sym.pack(), s.vecID(sym.Vec)
+	idx, created := p.current(id, bs, tn, vid)
+	if !created && s.predValid(idx) {
+		out.Predicted = true
+		// Packed equality: (type, node) word and vector word match ⟺
+		// Symbol.Equal, since pack() and vecID are bijections.
+		if h := &s.hot[idx]; h.tn == tn && h.vec == vid {
+			out.Correct = true
+			s.confUp(idx)
+		} else {
+			s.confDown(idx)
 		}
-		s.setPred(idx, tn, vid)
-	} else {
-		idx = p.store.alloc(pk, tn, vid)
-		p.table.insert(p.store, pk, idx)
 	}
+	s.setPred(idx, tn, vid)
 	if sym.Type.IsWriteLike() {
-		bs.lastWrite = idx
+		bs.lastWrite = idx + 1
 	}
-	bs.push(tn, vid, p.depth)
+	p.advance(bs, idx, tn, vid)
 	return out
 }
 
 // learn records sym as the successor of the current history without
 // scoring (used when closing VMSP read runs).
-func (p *TwoLevel) learn(addr mem.BlockAddr, bs *blockState, sym Symbol) {
+func (p *TwoLevel) learn(id BlockID, bs *blockState, sym Symbol) {
 	tn, vid := sym.pack(), p.store.vecID(sym.Vec)
-	pk := patternKey{addr, bs.key}
-	if idx, ok := p.table.lookup(p.store, pk); ok {
-		p.store.setPred(idx, tn, vid)
-	} else {
-		p.table.insert(p.store, pk, p.store.alloc(pk, tn, vid))
-	}
-	bs.push(tn, vid, p.depth)
+	idx, _ := p.current(id, bs, tn, vid)
+	p.store.setPred(idx, tn, vid)
+	p.advance(bs, idx, tn, vid)
 }
 
 // PredictNext implements Predictor: the predicted successor of the
 // block's current (closed) history.
-func (p *TwoLevel) PredictNext(addr mem.BlockAddr) (Symbol, bool) {
-	bs := p.lookup(addr)
+func (p *TwoLevel) PredictNext(id BlockID) (Symbol, bool) {
+	bs := p.lookup(id)
 	if bs == nil {
 		return Symbol{}, false
 	}
-	idx, ok := p.table.lookup(p.store, patternKey{addr, bs.key})
+	idx, ok := p.find(id, bs)
 	if !ok {
 		return Symbol{}, false
 	}
@@ -392,17 +445,17 @@ func (p *TwoLevel) PredictNext(addr mem.BlockAddr) (Symbol, bool) {
 // missing entry, a repeated reader, or the chain bound is reached. The
 // paper's speculative DSM uses VMSP; chaining lets the benchmarks compare
 // speculation quality across predictors as an ablation.
-func (p *TwoLevel) PredictReaders(addr mem.BlockAddr) (ReadPrediction, bool) {
-	bs := p.lookup(addr)
+func (p *TwoLevel) PredictReaders(id BlockID) (ReadPrediction, bool) {
+	bs := p.lookup(id)
 	if bs == nil {
 		return ReadPrediction{}, false
 	}
+	idx, ok := p.find(id, bs)
+	if !ok {
+		return ReadPrediction{}, false
+	}
+	s := p.store
 	if p.kind == KindVMSP {
-		idx, ok := p.table.lookup(p.store, patternKey{addr, bs.key})
-		if !ok {
-			return ReadPrediction{}, false
-		}
-		s := p.store
 		vec := s.vecAt(s.hot[idx].vec)
 		if tnType(s.hot[idx].tn) != MsgRead || vec.Empty() || !p.confident(idx) {
 			return ReadPrediction{}, false
@@ -412,17 +465,13 @@ func (p *TwoLevel) PredictReaders(addr mem.BlockAddr) (ReadPrediction, bool) {
 		return rp, true
 	}
 
-	// Chain expansion over a stack copy of the packed history key (the
-	// old implementation cloned the whole blockState here).
+	// Chain expansion over a stack copy of the packed history key,
+	// following successor links where they are known.
 	key := bs.key
 	n := int(bs.n)
-	rp := ReadPrediction{store: p.store, gen: p.store.gen}
+	rp := ReadPrediction{store: s, gen: s.gen}
 	for i := 0; i < p.maxChain; i++ {
-		idx, ok := p.table.lookup(p.store, patternKey{addr, key})
-		if !ok {
-			break
-		}
-		h := &p.store.hot[idx]
+		h := &s.hot[idx]
 		if tnType(h.tn) != MsgRead || !p.confident(idx) {
 			break
 		}
@@ -433,6 +482,11 @@ func (p *TwoLevel) PredictReaders(addr mem.BlockAddr) (ReadPrediction, bool) {
 		rp.Readers = rp.Readers.With(node)
 		rp.addEntry(idx)
 		n = key.push(h.tn, h.vec, n, p.depth)
+		if h.succ > 0 {
+			idx = h.succ - 1
+		} else if idx, ok = p.table.lookup(s, &patternKey{id, key}); !ok {
+			break
+		}
 	}
 	if rp.Readers.Empty() {
 		return ReadPrediction{}, false
@@ -445,12 +499,12 @@ func (p *TwoLevel) PredictReaders(addr mem.BlockAddr) (ReadPrediction, bool) {
 // already pushed the read into the history, so the current history's
 // prediction is the read's successor; for VMSP the read only opened the
 // run, so the run is hypothetically closed (with reader included) first.
-func (p *TwoLevel) PredictsUpgradeBy(addr mem.BlockAddr, reader mem.NodeID) bool {
-	bs := p.lookup(addr)
+func (p *TwoLevel) PredictsUpgradeBy(id BlockID, reader mem.NodeID) bool {
+	bs := p.lookup(id)
 	if bs == nil {
 		return false
 	}
-	key := bs.key
+	pk := patternKey{id, bs.key}
 	if p.kind == KindVMSP {
 		// A run vector that was never learned cannot key any entry, so a
 		// missing intern id is already a miss (vecIDIfPresent avoids
@@ -459,9 +513,9 @@ func (p *TwoLevel) PredictsUpgradeBy(addr mem.BlockAddr, reader mem.NodeID) bool
 		if !ok {
 			return false
 		}
-		key.push(packTN(MsgRead, 0), vid, int(bs.n), p.depth)
+		pk.key.push(packTN(MsgRead, 0), vid, int(bs.n), p.depth)
 	}
-	idx, ok := p.table.lookup(p.store, patternKey{addr, key})
+	idx, ok := p.table.lookup(p.store, &pk)
 	if !ok {
 		return false
 	}
@@ -473,42 +527,42 @@ func (p *TwoLevel) PredictsUpgradeBy(addr mem.BlockAddr, reader mem.NodeID) bool
 }
 
 // SWIAllowed implements Predictor.
-func (p *TwoLevel) SWIAllowed(addr mem.BlockAddr) bool {
-	return p.SWIGuard(addr).Allowed()
+func (p *TwoLevel) SWIAllowed(id BlockID) bool {
+	return p.SWIGuard(id).Allowed()
 }
 
 // SWIGuard implements Predictor.
-func (p *TwoLevel) SWIGuard(addr mem.BlockAddr) SWIGuard {
-	bs := p.lookup(addr)
-	if bs == nil || bs.lastWrite == noEntry {
+func (p *TwoLevel) SWIGuard(id BlockID) SWIGuard {
+	bs := p.lookup(id)
+	if bs == nil || bs.lastWrite == 0 {
 		return SWIGuard{}
 	}
-	return SWIGuard{store: p.store, idx: bs.lastWrite, gen: p.store.gen}
+	return SWIGuard{store: p.store, idx: bs.lastWrite - 1, gen: p.store.gen}
 }
 
 // AssumeReaders implements Predictor. For VMSP the forwarded readers join
 // the open run; for MSP/Cosmos they are recorded and pushed as individual
 // read symbols (scorelessly), mirroring the history that real read
 // requests would have produced.
-func (p *TwoLevel) AssumeReaders(addr mem.BlockAddr, vec mem.ReaderVec) {
+func (p *TwoLevel) AssumeReaders(id BlockID, vec mem.ReaderVec) {
 	if vec.Empty() {
 		return
 	}
-	bs := p.block(addr)
+	bs := p.block(id)
 	if p.kind == KindVMSP {
 		bs.open = bs.open.Union(vec)
 		return
 	}
 	for n := vec.Next(0); n < mem.MaxNodes; n = vec.Next(n + 1) {
-		p.learn(addr, bs, Symbol{Type: MsgRead, Node: n})
+		p.learn(id, bs, Symbol{Type: MsgRead, Node: n})
 	}
 }
 
 // RetractReader implements Predictor. Only the VMSP open run can be
 // retracted; for MSP/Cosmos the pushed history symbol is left in place
 // (the pattern entries themselves are fixed via ReadPrediction.Prune).
-func (p *TwoLevel) RetractReader(addr mem.BlockAddr, n mem.NodeID) {
-	bs := p.lookup(addr)
+func (p *TwoLevel) RetractReader(id BlockID, n mem.NodeID) {
+	bs := p.lookup(id)
 	if bs == nil {
 		return
 	}
@@ -519,7 +573,7 @@ func (p *TwoLevel) RetractReader(addr mem.BlockAddr, n mem.NodeID) {
 func (p *TwoLevel) Census() Census {
 	return Census{
 		HistoryDepth: p.depth,
-		Blocks:       p.blocks.Len(),
+		Blocks:       p.blocks,
 		Entries:      p.store.len(),
 	}
 }

@@ -6,7 +6,8 @@ import (
 	"specdsm/internal/mem"
 )
 
-var blk = mem.MakeAddr(0, 0x100)
+// blk is the block the single-block tests feed.
+const blk BlockID = 7
 
 func obs(t MsgType, n mem.NodeID) Observation { return Observation{Type: t, Node: n} }
 
@@ -407,8 +408,7 @@ func TestStatsInvariant(t *testing.T) {
 
 func TestCensusCountsBlocks(t *testing.T) {
 	p := NewMSP(1)
-	a := mem.MakeAddr(0, 1)
-	b := mem.MakeAddr(1, 2)
+	const a, b BlockID = 0, 5
 	p.Observe(a, obs(MsgRead, 0))
 	p.Observe(b, obs(MsgRead, 1))
 	p.Observe(b, obs(MsgWrite, 2))

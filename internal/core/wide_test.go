@@ -128,7 +128,7 @@ func FuzzPatKeyPack(f *testing.F) {
 		}
 		table := patTable{vecKeys: true}
 		refTable := map[patternKey]int32{}
-		addr := mem.MakeAddr(0, 1)
+		const id BlockID = 1
 
 		var key patKey
 		have := 0
@@ -165,22 +165,19 @@ func FuzzPatKeyPack(f *testing.F) {
 			} else {
 				seqByKey[key] = seq
 			}
-			pk := patternKey{addr, key}
-			if idx, ok := table.lookup(store, pk); ok {
-				if want, seen := refTable[pk]; !seen || want != idx {
-					t.Fatalf("lookup(%v) = %d, oracle has %d", pk, idx, want)
-				}
-			} else {
-				if _, seen := refTable[pk]; seen {
-					t.Fatalf("table lost key %v", pk)
-				}
-				idx := store.alloc(pk, tn, vid)
-				table.insert(store, pk, idx)
-				refTable[pk] = idx
+			pk := patternKey{id, key}
+			idx, found := table.lookup(store, &pk)
+			if want, seen := refTable[pk]; found != seen || (found && want != idx) {
+				t.Fatalf("lookup(%v) = %d,%v, oracle has %d,%v", pk, idx, found, want, seen)
 			}
+			got, created := table.reserve(store, &pk, tn, vid)
+			if created == found || (found && got != idx) {
+				t.Fatalf("reserve(%v) = %d,%v after lookup %d,%v", pk, got, created, idx, found)
+			}
+			refTable[pk] = got
 		}
 		for pk, want := range refTable {
-			got, ok := table.lookup(store, pk)
+			got, ok := table.lookup(store, &pk)
 			if !ok || got != want {
 				t.Fatalf("final lookup(%v) = %d,%v, oracle has %d", pk, got, ok, want)
 			}
@@ -189,18 +186,18 @@ func FuzzPatKeyPack(f *testing.F) {
 }
 
 // TestPatTableHashSeparatesKeys pins the two systematic collisions an
-// earlier hash had: folding the raw address and tn word into one round
-// made (addr, tn) and (addr^x, tn^x) hash identically, and the newest
-// slot of a depth-4 VMSP history (vec[3]) was never mixed in.
+// earlier hash had: folding the raw block word and tn word into one round
+// made (id, tn) and (id^x, tn^x) hash identically, and the newest slot of
+// a depth-4 VMSP history (vec[3]) was never mixed in.
 func TestPatTableHashSeparatesKeys(t *testing.T) {
 	table := patTable{vecKeys: true}
-	base := patternKey{addr: mem.MakeAddr(3, 4), key: patKey{tn: 0x0123_0042, vec: [MaxDepth]uint64{7, 9, 11, 13}}}
-	for _, x := range []uint64{1, 0x10, 0xffff, 1 << 40} {
+	base := patternKey{id: 0x304, key: patKey{tn: 0x0123_0042, vec: [MaxDepth]uint64{7, 9, 11, 13}}}
+	for _, x := range []uint64{1, 0x10, 0xffff, 1 << 30} {
 		other := base
-		other.addr ^= mem.BlockAddr(x)
+		other.id ^= BlockID(x)
 		other.key.tn ^= x
 		if table.hash(&base) == table.hash(&other) {
-			t.Errorf("(addr, tn) and (addr^%#x, tn^%#x) hash equally", x, x)
+			t.Errorf("(id, tn) and (id^%#x, tn^%#x) hash equally", x, x)
 		}
 	}
 	for i := range base.key.vec {

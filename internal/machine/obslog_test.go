@@ -103,11 +103,19 @@ func TestObservationLogEquivalence(t *testing.T) {
 				}
 			}
 			counts := make([]int, nodes)
+			// The reference predictors name blocks by first-seen order
+			// machine-wide, not by the directories' entry indices.
+			ids := map[mem.BlockAddr]core.BlockID{}
 			m.System().SetTrace(func(_ sim.Cycle, addr mem.BlockAddr, mt core.MsgType, node mem.NodeID) {
 				h := addr.Home()
 				counts[h]++
+				id, ok := ids[addr]
+				if !ok {
+					id = core.BlockID(len(ids))
+					ids[addr] = id
+				}
 				for _, p := range ref[h] {
-					p.Observe(addr, core.Observation{Type: mt, Node: node})
+					p.Observe(id, core.Observation{Type: mt, Node: node})
 				}
 			})
 			r, err := m.Run(progs)

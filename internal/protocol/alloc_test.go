@@ -131,11 +131,13 @@ var wideInvalReaders = func() []mem.NodeID {
 // wideInvalAddr is the block wideInvalCycle shares, homed at node 0.
 var wideInvalAddr = mem.MakeAddr(0, 7)
 
-// newWideInvalHarness builds the 256-node FR system of
-// BenchmarkInvalidateWide and warms it until the predictor forwards the
-// whole reader set.
+// newWideInvalHarness builds the 256-node system of
+// BenchmarkInvalidateWide, with FR at the block's home directory, and
+// warms it until the predictor forwards the whole reader set.
 func newWideInvalHarness() *allocHarness {
-	h := newAllocHarness(256, Options{Active: core.NewSized(core.KindVMSP, 1, 256), EnableFR: true})
+	opts := make([]Options, 256)
+	opts[0] = Options{Active: core.NewSized(core.KindVMSP, 1, 256), EnableFR: true}
+	h := newAllocHarness(256, opts...)
 	for i := 0; i < 10; i++ {
 		h.wideInvalCycle()
 	}

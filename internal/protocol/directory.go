@@ -246,8 +246,7 @@ func (g *grantEvent) fire() {
 const ObserverLogLen = 512
 
 // obsRec is one logged directory observation, packed into 8 bytes: the
-// entry's dense index stands in for the block address, which the replay
-// reads back from cold[ei].addr.
+// entry's dense index names the block, to the log and to the observers.
 type obsRec struct {
 	ei   int32
 	typ  core.MsgType
@@ -437,7 +436,7 @@ func (d *directory) observe(ei int32, addr mem.BlockAddr, t core.MsgType, node m
 		trace(d.n.sys.kernel.Now(), addr, t, node)
 	}
 	if a := d.n.opts.Active; a != nil {
-		a.Observe(addr, core.Observation{Type: t, Node: node})
+		a.Observe(core.BlockID(ei), core.Observation{Type: t, Node: node})
 	}
 	if cap(d.obsLog) == 0 {
 		return
@@ -457,7 +456,7 @@ func (d *directory) observe(ei int32, addr mem.BlockAddr, t core.MsgType, node m
 func (d *directory) flushObs() {
 	for _, p := range d.n.opts.Observers {
 		for _, r := range d.obsLog {
-			p.Observe(d.cold[r.ei].addr, core.Observation{Type: r.typ, Node: r.node})
+			p.Observe(core.BlockID(r.ei), core.Observation{Type: r.typ, Node: r.node})
 		}
 	}
 	d.obsLog = d.obsLog[:0]
@@ -549,7 +548,7 @@ func (d *directory) serveRead(addr mem.BlockAddr, ei int32, src mem.NodeID) {
 		phaseStart := h.state == dirIdle
 		// Speculative upgrade extension: if the predictor expects this
 		// reader to upgrade next (migratory sharing), grant exclusively.
-		if phaseStart && d.specUpgradeApplies(addr, src) {
+		if phaseStart && d.specUpgradeApplies(ei, src) {
 			d.stats.SpecUpgrades++
 			h.flags |= dfSpecUpgraded
 			d.grantExclusive(addr, ei, src, mem.ReqWrite, false)
@@ -689,7 +688,7 @@ func (d *directory) processAck(src mem.NodeID, addr mem.BlockAddr, specUnused bo
 		if specUnused {
 			rp.Prune(src)
 			if a := d.n.opts.Active; a != nil {
-				a.RetractReader(addr, src)
+				a.RetractReader(core.BlockID(ei), src)
 			}
 			d.stats.SpecReadUnused++
 		} else if h.tr != nil {
@@ -773,7 +772,7 @@ func (d *directory) processWriteback(src mem.NodeID, m Msg) {
 		// Migratory sharing arrives through this recall path: if the
 		// predictor expects the reader to upgrade next, grant exclusively
 		// (speculative upgrade extension).
-		if d.specUpgradeApplies(m.Addr, req) {
+		if d.specUpgradeApplies(ei, req) {
 			d.stats.SpecUpgrades++
 			h.flags |= dfSpecUpgraded
 			d.grantExclusive(m.Addr, ei, req, mem.ReqWrite, false)

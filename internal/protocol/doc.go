@@ -17,20 +17,23 @@
 //     incoming message stream and driving read speculation via the
 //     First-Read (FR) and Speculative Write-Invalidation (SWI) triggers.
 //
-// A directory feeds its incoming messages to three kinds of consumer. The
-// active predictor (Options.Active) is called online, before the
-// directory acts on each message, because speculation consults it
-// mid-run. The trace hook (System.SetTrace) is also called online, with
-// the processing cycle, so a recorder sees the live clock and the
-// machine-wide order. The passive observers (Options.Observers) never
-// influence the protocol, so they are fed in batches: the directory
-// appends each message to a fixed-capacity log of 8-byte records (entry
-// index, message type, source node; ObserverLogLen records, allocated
-// once) and, when the log fills and at System.FlushObservations, replays
-// it predictor-major — all records through one observer, then all
-// through the next. Each observer sees exactly its old message sequence,
-// while its tables stay cache-hot across the whole log. Reset drops
-// records a failed run left unreplayed.
+// A directory feeds its incoming messages to three kinds of consumer,
+// and names the block to its predictors by the entry's dense index (a
+// core.BlockID), never by address. The active predictor (Options.Active)
+// is called online, before the directory acts on each message, because
+// speculation consults it mid-run. The trace hook (System.SetTrace) is
+// also called online, with the processing cycle, so a recorder sees the
+// live clock and the machine-wide order. The passive observers
+// (Options.Observers) never influence the protocol, so they are fed in
+// batches: the directory appends each message to a fixed-capacity log of
+// 8-byte records (entry index, message type, source node; ObserverLogLen
+// records, allocated once) and, when the log fills and at
+// System.FlushObservations, replays it predictor-major — all records
+// through one observer, then all through the next. The replay passes the
+// record's entry index, so it reads nothing else of the entry. Each
+// observer sees exactly its old message sequence, while its tables stay
+// cache-hot across the whole log. Reset drops records a failed run left
+// unreplayed.
 //
 // The speculation machinery never modifies base protocol transitions: it
 // only schedules existing operations early (an early recall, an early

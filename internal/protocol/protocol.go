@@ -58,11 +58,10 @@ type Options struct {
 	// them mid-run, they are fed in batches: the directory logs each
 	// message and replays the log one observer at a time when it holds
 	// ObserverLogLen records and at System.FlushObservations, so an
-	// observer's Stats and Census are current only after a flush. An
-	// observer shared by several directories sees each directory's
-	// messages in order but not their machine-wide interleaving (the
-	// trace hook, System.SetTrace, has that). An observer must not also
-	// be the Active predictor.
+	// observer's Stats and Census are current only after a flush.
+	// Observers and Active name blocks by this directory's entry indices
+	// (core.BlockID), so each predictor must serve one directory only, and
+	// an observer must not also be the Active predictor.
 	Observers []core.Predictor
 	// Active is the predictor consulted for speculation (the paper's
 	// speculative DSMs use a VMSP with history depth one). It observes

@@ -528,13 +528,13 @@ func TestRandomStressCoherence(t *testing.T) {
 }
 
 func TestPassiveObserversSeeIdenticalStreams(t *testing.T) {
-	// Attach Cosmos/MSP/VMSP as passive observers; their tracked counts
-	// must relate (Cosmos sees requests plus acks/writebacks).
+	// Attach Cosmos/MSP/VMSP as passive observers at the block's home
+	// directory; their tracked counts must relate (Cosmos sees requests
+	// plus acks/writebacks).
 	cosmos := core.NewCosmos(1)
 	msp := core.NewMSP(1)
 	vmsp := core.NewVMSP(1)
-	opts := []Options{{Observers: []core.Predictor{cosmos, msp, vmsp}}}
-	h := newHarness(t, 4, opts[0], opts[0], opts[0], opts[0])
+	h := newHarness(t, 4, Options{Observers: []core.Predictor{cosmos, msp, vmsp}}, Options{}, Options{}, Options{})
 	addr := mem.MakeAddr(0, 0)
 	for i := 0; i < 5; i++ {
 		producerConsumerRound(h, addr)

@@ -99,10 +99,14 @@ func (s *System) routeAfter(delay sim.Cycle, src, dst mem.NodeID, msg Msg) {
 }
 
 // NewSystem builds an n-node DSM on the given kernel. opts[i] configures
-// node i; a single-element opts slice applies to every node.
+// node i; a single-element opts slice applies to every node, and so may
+// hold no predictor when n > 1 (a predictor serves one directory).
 func NewSystem(k *sim.Kernel, n int, timing Timing, netCfg network.Config, opts []Options) *System {
 	if n <= 0 || n > mem.MaxNodes {
 		panic(fmt.Sprintf("protocol: invalid node count %d", n))
+	}
+	if len(opts) == 1 && n > 1 && (opts[0].Active != nil || len(opts[0].Observers) > 0) {
+		panic("protocol: one Options with predictors for several nodes would share them between directories")
 	}
 	s := &System{
 		kernel:       k,

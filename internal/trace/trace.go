@@ -74,11 +74,23 @@ func (r *Recorder) Reset() { r.trace.Events = nil }
 // through the next, so one predictor's tables stay cache-hot for the
 // whole trace — and returns nothing; inspect the predictors' Stats/Census
 // afterwards. Captured order preserves per-block arrival order, which is
-// all the (per-block) two-level predictors depend on.
+// all the (per-block) two-level predictors depend on. Block ids are
+// assigned once, in first-seen order, through one mem.BlockMap shared by
+// every predictor, so an event costs one address hash rather than one
+// per predictor.
 func Replay(t *Trace, predictors ...core.Predictor) {
+	if len(predictors) == 0 {
+		return
+	}
+	var ids mem.BlockMap
+	blocks := make([]core.BlockID, len(t.Events))
+	for i, e := range t.Events {
+		id, _ := ids.Reserve(mem.BlockAddr(e.Addr), int32(ids.Len()))
+		blocks[i] = core.BlockID(id)
+	}
 	for _, p := range predictors {
-		for _, e := range t.Events {
-			p.Observe(mem.BlockAddr(e.Addr), core.Observation{Type: core.MsgType(e.Type), Node: mem.NodeID(e.Node)})
+		for i, e := range t.Events {
+			p.Observe(blocks[i], core.Observation{Type: core.MsgType(e.Type), Node: mem.NodeID(e.Node)})
 		}
 	}
 }

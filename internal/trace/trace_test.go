@@ -113,9 +113,17 @@ func TestRecorderIsInertPredictor(t *testing.T) {
 func TestReplayMatchesOnlineObservation(t *testing.T) {
 	tr := sampleTrace()
 	online := core.NewVMSP(1)
-	// Online: feed observations directly (as a directory would).
+	// Online: feed observations directly (as a directory would), naming
+	// blocks by ids of this loop's own choosing — descending, unlike
+	// Replay's first-seen order, since any assignment must agree.
+	ids := map[uint64]core.BlockID{}
 	for _, e := range tr.Events {
-		online.Observe(mem.BlockAddr(e.Addr), core.Observation{
+		id, ok := ids[e.Addr]
+		if !ok {
+			id = core.BlockID(1000 - len(ids))
+			ids[e.Addr] = id
+		}
+		online.Observe(id, core.Observation{
 			Type: core.MsgType(e.Type),
 			Node: mem.NodeID(e.Node),
 		})

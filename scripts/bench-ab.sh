@@ -3,10 +3,12 @@
 # the working tree, on one host, in alternating order:
 #
 #	bash scripts/bench-ab.sh BASE WORKLOAD PAIRS [SEED]
-#	make bench-ab BASE=HEAD~1 WORKLOAD=remote-2shard PAIRS=10
+#	make bench-ab BASE=HEAD~1 WORKLOAD=remote-2shard PAIRS=10 SEED=3
 #
-# BASE is any git revision; it is exported with `git archive` into
-# .bench_build/ab-<sha>/ (once per revision) and run from there. The head
+# BASE is any git revision. It is exported once per revision with
+# `git archive` into .bench_build/ab-<sha>/ and run from there; the export
+# goes to a temporary directory that is renamed into place only when it
+# is complete, so an interrupted export is never reused. The head
 # side is the working tree as it is, uncommitted changes included. Both
 # sides run their own, unchanged perfbench/run.sh with
 # --seed SEED (default 1) --seconds 10 --trace 0; pair i runs base first
@@ -39,12 +41,19 @@ if ! [[ $pairs =~ ^[1-9][0-9]*$ ]]; then
 	echo "bench-ab: PAIRS must be a positive integer, got '$pairs'" >&2
 	exit 2
 fi
+if ! [[ $seed =~ ^[0-9]+$ ]]; then
+	echo "bench-ab: SEED must be a non-negative integer, got '$seed'" >&2
+	exit 2
+fi
 
 basedir="$root/.bench_build/ab-$rev"
-if [ ! -f "$basedir/perfbench/run.sh" ]; then
-	rm -rf "$basedir"
-	mkdir -p "$basedir"
-	git -C "$root" archive "$rev" | tar -x -C "$basedir"
+if [ ! -d "$basedir" ]; then
+	mkdir -p "$root/.bench_build"
+	tmp=$(mktemp -d "$root/.bench_build/ab-export.XXXXXX")
+	trap 'rm -rf "$tmp"' EXIT
+	git -C "$root" archive "$rev" | tar -x -C "$tmp"
+	mv -T "$tmp" "$basedir"
+	trap - EXIT
 fi
 runs="$root/.bench_build/ab-runs"
 mkdir -p "$runs"
